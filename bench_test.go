@@ -10,6 +10,7 @@ package llmbw
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"llmbw/internal/collective"
@@ -201,6 +202,65 @@ func BenchmarkFabricFairShareSteady(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		end += 10 * sim.Millisecond
 		eng.RunUntil(end)
+	}
+}
+
+// BenchmarkFabricFairShareWide measures resharing beside a wide registry: N
+// long-lived flows hold private links, and each op admits a same-instant
+// burst of 64 single-link flows, one StartFlow at a time. Two bursts
+// alternate, each admitted as the other is half done, so an op runs until
+// the previous burst completes and every armed completion event fires
+// within the run instead of piling up behind the idle flows. Every
+// admission recomputes a one-flow component; only the op's single time
+// advance walks the N idle flows. It must not allocate.
+func BenchmarkFabricFairShareWide(b *testing.B) {
+	for _, n := range []int{16, 1024, 4096} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) { benchFairShareWide(b, n) })
+	}
+}
+
+func benchFairShareWide(b *testing.B, n int) {
+	const window = sim.Time(1) << 60 // telemetry buckets must not grow with virtual time
+	eng := sim.New()
+	net := fabric.NewNetwork(eng)
+	private := func(name string) []*fabric.Link {
+		return []*fabric.Link{fabric.NewLink(name, fabric.RoCE, 0, 10e9, window)}
+	}
+	for i := 0; i < n; i++ {
+		net.StartFlow(&fabric.Flow{Path: private("long"), Bytes: 1e18}, nil)
+	}
+	var bursts [2][]*fabric.Flow
+	for k := range bursts {
+		bursts[k] = make([]*fabric.Flow, 64)
+		for i := range bursts[k] {
+			bursts[k][i] = &fabric.Flow{Path: private("burst"), Bytes: 1e6} // 0.1 ms at 10 GB/s
+		}
+	}
+	left := 0
+	done := func() {
+		if left--; left == 0 {
+			eng.Stop()
+		}
+	}
+	admit := func(burst []*fabric.Flow) {
+		for _, f := range burst {
+			net.StartFlow(f, done)
+		}
+	}
+	op := func(i int) {
+		admit(bursts[i%2])
+		left = len(bursts[i%2])
+		eng.Run() // until the other burst completes
+	}
+	admit(bursts[1])
+	eng.RunUntil(eng.Now() + 50*sim.Microsecond)
+	for i := 0; i < 4; i++ {
+		op(i) // warm up registries, scratch lists and the event pool
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
 	}
 }
 

@@ -9,6 +9,7 @@
 //	bwchar fig7 table4
 //	bwchar -iterations 5 -pattern-seconds 60 all
 //	bwchar -parallel 4 all-ext
+//	bwchar -cpuprofile bwchar.prof all
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"llmbw/internal/core"
 	"llmbw/internal/runner"
@@ -58,6 +60,7 @@ func main() {
 	shards := flag.Int("shards", 0, "simulation shards per training run; <=1 runs each simulation serially")
 	topo := flag.String("topo", "", `extra fabric spec for the datacenter studies, e.g. "fat-tree:nodes=32"`)
 	algo := flag.String("algo", "", "collective algorithm for the datacenter studies: flat | 2level | multiring")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 	flag.Parse()
 	*parallel = runner.ClampParallel(*parallel)
 	*shards = runner.ClampParallel(*shards)
@@ -104,6 +107,15 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bwchar:", err)
+			os.Exit(1)
+		}
+		defer stop()
+	}
+
 	// Each experiment owns a private simulation engine, so they run on a
 	// worker pool; the runner flushes outputs in submission order, so the
 	// bytes match a serial run exactly regardless of -parallel.
@@ -122,4 +134,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bwchar:", err)
 		os.Exit(1)
 	}
+}
+
+// startCPUProfile starts writing a CPU profile to path and returns the
+// function that stops the profile and closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "bwchar:", err)
+		}
+	}, nil
 }

@@ -5,6 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"llmbw/internal/core"
@@ -110,5 +113,44 @@ func TestClampedSerialRunsJobs(t *testing.T) {
 	}
 	if got, want := out.String(), "job0\njob1\njob2\n"; got != want {
 		t.Errorf("serial clamped run wrote %q, want %q", got, want)
+	}
+}
+
+// TestMain lets a test run this binary as the bwchar command: with LLMBW_RUN_BWCHAR
+// set, the process runs main on its own arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("LLMBW_RUN_BWCHAR") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runBwchar runs bwchar with args in a child process and returns its stdout.
+func runBwchar(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LLMBW_RUN_BWCHAR=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("bwchar %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	return out
+}
+
+// TestCPUProfileFlag: -cpuprofile writes a non-empty profile and leaves
+// stdout byte-identical to the same run without it.
+func TestCPUProfileFlag(t *testing.T) {
+	args := []string{"-parallel", "1", "-iterations", "1", "fig3"}
+	plain := runBwchar(t, args...)
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	profiled := runBwchar(t, append([]string{"-cpuprofile", path}, args...)...)
+	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
+		t.Errorf("stdout with -cpuprofile differs from the plain run:\n%s\nvs\n%s", profiled, plain)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("profile %s missing or empty: %v", path, err)
 	}
 }

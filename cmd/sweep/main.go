@@ -5,6 +5,7 @@
 // Usage:
 //
 //	sweep -strategy zero2 -offload cpu -nodes 1 -sizes 0.7,1.4,2.9,5.2
+//	sweep -cpuprofile sweep.prof -strategy zero3 -topo fat-tree:nodes=256 -algo 2level
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
@@ -41,6 +43,7 @@ func main() {
 	shards := flag.Int("shards", 0, "simulation shards per sweep point; <=1 runs each simulation serially")
 	topo := flag.String("topo", "", `generated fabric spec, e.g. "fat-tree:nodes=16" (default: the paper testbed)`)
 	algo := flag.String("algo", "", "collective algorithm on generated fabrics: flat | 2level | multiring")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof format)")
 	flag.Parse()
 	*parallel = runner.ClampParallel(*parallel)
 	*shards = runner.ClampParallel(*shards)
@@ -76,6 +79,15 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
+	}
+
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+			os.Exit(1)
+		}
+		defer stop()
 	}
 
 	// On a generated fabric the node count lives in base.Name()'s topo spec;
@@ -128,6 +140,25 @@ func main() {
 	}
 	t.Render(os.Stdout)
 	fmt.Printf("maximum fit: %d layers (%.2fB params)\n", maxLayers, model.NewGPT(maxLayers).ParamsB())
+}
+
+// startCPUProfile starts writing a CPU profile to path and returns the
+// function that stops the profile and closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+		}
+	}, nil
 }
 
 // applyTopo points the sweep at a generated datacenter fabric. The spec's

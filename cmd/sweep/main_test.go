@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -131,5 +135,44 @@ func TestApplyTopo(t *testing.T) {
 	plain := train.Config{Strategy: train.DDP, Nodes: 1}
 	if err := applyTopo(&plain, "", "2level", false); err == nil {
 		t.Error("-algo without -topo accepted")
+	}
+}
+
+// TestMain lets a test run this binary as the sweep command: with LLMBW_RUN_SWEEP
+// set, the process runs main on its own arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("LLMBW_RUN_SWEEP") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runSweep runs sweep with args in a child process and returns its stdout.
+func runSweep(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LLMBW_RUN_SWEEP=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("sweep %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	return out
+}
+
+// TestCPUProfileFlag: -cpuprofile writes a non-empty profile and leaves
+// stdout byte-identical to the same run without it.
+func TestCPUProfileFlag(t *testing.T) {
+	args := []string{"-parallel", "1", "-iterations", "1", "-strategy", "zero3", "-topo", "fat-tree:nodes=16", "-algo", "2level", "-sizes", "1"}
+	plain := runSweep(t, args...)
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	profiled := runSweep(t, append([]string{"-cpuprofile", path}, args...)...)
+	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
+		t.Errorf("stdout with -cpuprofile differs from the plain run:\n%s\nvs\n%s", profiled, plain)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("profile %s missing or empty: %v", path, err)
 	}
 }

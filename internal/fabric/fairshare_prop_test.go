@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,11 +93,57 @@ func referenceFairShare(flows []*Flow) map[*Flow]float64 {
 	return rate
 }
 
+// referenceNextCompletion is the next-completion arming loop as fabric
+// shipped before the cached minimum: the earliest projected completion,
+// relative to the last advance, over a full walk of every active flow.
+// Returns math.MaxInt64 when no flow has a positive rate.
+func referenceNextCompletion(flows []*Flow) sim.Time {
+	soonest := sim.Time(math.MaxInt64)
+	for _, f := range flows {
+		if f.rate <= 0 {
+			continue
+		}
+		eta := sim.Time(math.Ceil(f.remaining / f.rate * float64(sim.Second)))
+		if eta < 1 {
+			eta = 1
+		}
+		if eta < soonest {
+			soonest = eta
+		}
+	}
+	return soonest
+}
+
+// checkNextCompletion asserts that the armed next completion equals the
+// reference full scan, and that every flow already within the finish
+// tolerance is flagged for the next finish scan.
+func checkNextCompletion(net *Network) string {
+	for _, f := range net.active {
+		if f.remaining <= 1e-6 && !net.mayFinish {
+			return "finished flow not flagged for retirement"
+		}
+	}
+	if len(net.active) == 0 {
+		return ""
+	}
+	if !net.nextValid {
+		return "active flows but no next completion armed"
+	}
+	if want := referenceNextCompletion(net.active); net.nextETA != want {
+		return fmt.Sprintf("next completion armed at +%d ns, reference scan says +%d ns", net.nextETA, want)
+	}
+	return ""
+}
+
 // checkFairShare asserts the three max-min invariants over the currently
-// active flows and cross-checks every rate against the reference allocator.
-// Returns a non-empty description on violation.
+// active flows, cross-checks every rate against the reference allocator and
+// the armed next completion against the reference scan. Returns a non-empty
+// description on violation.
 func checkFairShare(t *testing.T, net *Network) string {
 	t.Helper()
+	if msg := checkNextCompletion(net); msg != "" {
+		return msg
+	}
 	flows := net.active
 	load := make(map[*Link]float64)
 	for _, f := range flows {
@@ -157,9 +204,20 @@ func checkFairShare(t *testing.T, net *Network) string {
 	return ""
 }
 
+// scenarioBytes draws a flow volume: usually 0.1–1.1 GB, and one time in
+// eight at most the 1e-6-byte finish tolerance, so the flow is finished on
+// admission.
+func scenarioBytes(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return (1 - rng.Float64()) * 1e-6
+	}
+	return (0.1 + rng.Float64()) * 1e9
+}
+
 // fairShareScenario drives one randomized topology through starts, a
-// capacity change and completions, checking the allocation after every
-// reallocation trigger. Returns a description of the first violation.
+// capacity change, a same-instant burst beside the long-lived flows, and
+// completions, checking the allocation and the armed next completion after
+// every reallocation trigger. Returns a description of the first violation.
 func fairShareScenario(t *testing.T, seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
 	eng := sim.New()
@@ -176,7 +234,7 @@ func fairShareScenario(t *testing.T, seed int64) string {
 		for j, k := range perm {
 			path[j] = links[k]
 		}
-		fl := &Flow{Path: path, Bytes: (0.1 + rng.Float64()) * 1e9}
+		fl := &Flow{Path: path, Bytes: scenarioBytes(rng)}
 		if rng.Intn(3) == 0 {
 			fl.RateLimit = 1e7 + rng.Float64()*2e9
 		}
@@ -190,6 +248,31 @@ func fairShareScenario(t *testing.T, seed int64) string {
 	net.SetCapacity(l, (0.5+rng.Float64()*20)*1e9)
 	if msg := checkFairShare(t, net); msg != "" {
 		return "after capacity change: " + msg
+	}
+	// Let the long-lived flows run a while, then admit a batch and a burst
+	// at one instant. StartFlows runs its finish scan at its first admitted
+	// flow, so a flow finished on admission later in the batch stays
+	// active, flagged, and usually holds the next completion until the
+	// burst's first reshare retires it.
+	eng.RunUntil(eng.Now() + sim.Time(1+rng.Intn(50))*sim.Millisecond)
+	batch := make([]*Flow, 1+rng.Intn(4))
+	for i := range batch {
+		batch[i] = &Flow{Path: []*Link{links[rng.Intn(len(links))]}, Bytes: scenarioBytes(rng)}
+	}
+	net.StartFlows(batch, nil)
+	if msg := checkFairShare(t, net); msg != "" {
+		return "after batch start: " + msg
+	}
+	// Same-instant burst: single-link flows on private links, one StartFlow
+	// at a time. Each admission re-rates only its own component, so the
+	// armed completion is folded rather than rescanned; some burst flows
+	// undercut the long-lived holder and some are finished on admission.
+	for i, burst := 0, 1+rng.Intn(8); i < burst; i++ {
+		fl := &Flow{Path: []*Link{NewLink("b", NVLink, 0, (0.5+rng.Float64()*20)*1e9, 0)}, Bytes: scenarioBytes(rng) / 4}
+		net.StartFlow(fl, nil)
+		if msg := checkFairShare(t, net); msg != "" {
+			return "after burst start: " + msg
+		}
 	}
 	// Completion/retire path: step the clock and re-check as flows drain.
 	for eng.Pending() > 0 && net.ActiveFlows() > 0 {

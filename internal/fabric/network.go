@@ -49,7 +49,11 @@ var BatchAdmission = true
 //
 // Rate recomputation is incremental: flows partition into connected
 // components over shared links, and a flow start, finish or capacity change
-// re-runs progressive filling only for the touched component. All scratch
+// re-runs progressive filling only for the touched component. Re-arming the
+// next completion folds in just the re-rated flows, and the finished-flow
+// check is skipped unless a flow can have finished; each walks the whole
+// registry only when virtual time has moved or its cached state was lost
+// (see nextETA and mayFinish). All scratch
 // state (component work-lists, per-link capacities and counts) lives in
 // reusable buffers on the Network and the links themselves, so steady-state
 // resharing performs no allocation.
@@ -64,8 +68,27 @@ type Network struct {
 	capEpoch int64
 
 	// fillPasses counts progressive-filling rate recomputations — the
-	// reshare-count probe batched admission is measured by.
-	fillPasses int64
+	// reshare-count probe batched admission is measured by. nextScans and
+	// finishScans count the full registry walks of scheduleNextCompletion
+	// and retireFinished, which the caches below exist to avoid.
+	fillPasses  int64
+	nextScans   int64
+	finishScans int64
+
+	// nextETA caches the earliest projected completion, relative to lastAt,
+	// and nextFlow the flow projecting it. While virtual time stands still
+	// and nextFlow keeps its rate, every other flow's projection is
+	// unchanged too, so a reshare folds in only the flows it re-rated.
+	// nextValid drops when advance moves time or nextFlow is retired or
+	// re-rated, and the next arming rescans the registry.
+	nextETA   sim.Time
+	nextFlow  *Flow
+	nextValid bool
+
+	// mayFinish is set whenever an active flow may be within the 1e-6-byte
+	// finish tolerance — advance brought it there, or it was admitted that
+	// small — and gates retireFinished's registry walk.
+	mayFinish bool
 
 	// cePool recycles completion events (and their bound closures) so
 	// steady-state re-arming allocates nothing.
@@ -133,14 +156,7 @@ func (n *Network) StartFlow(f *Flow, onDone func()) {
 		return
 	}
 	n.advance()
-	f.idx = len(n.active)
-	f.mark = 0
-	n.active = append(n.active, f) //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
-	f.pos = f.pos[:0]
-	for _, l := range f.Path {
-		f.pos = append(f.pos, int32(len(l.active))) //lint:allow steady-alloc — reset to [:0] above: backing survives across iterations
-		l.active = append(l.active, f)              //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
-	}
+	n.register(f)
 	n.reshare(f, nil)
 }
 
@@ -189,14 +205,7 @@ func (n *Network) StartFlows(flows []*Flow, onDone func()) {
 		if !admitted {
 			n.advance()
 		}
-		f.idx = len(n.active)
-		f.mark = 0
-		n.active = append(n.active, f) //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
-		f.pos = f.pos[:0]
-		for _, l := range f.Path {
-			f.pos = append(f.pos, int32(len(l.active))) //lint:allow steady-alloc — reset to [:0] above: backing survives across iterations
-			l.active = append(l.active, f)              //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
-		}
+		n.register(f)
 		if !admitted {
 			admitted = true
 			firstReal = i
@@ -212,6 +221,21 @@ func (n *Network) StartFlows(flows []*Flow, onDone func()) {
 		return
 	}
 	n.reshareBatch(flows, firstReal)
+}
+
+// register adds f to the dense registry and to every link it crosses.
+func (n *Network) register(f *Flow) {
+	f.idx = len(n.active)
+	f.mark = 0
+	n.active = append(n.active, f) //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
+	f.pos = f.pos[:0]
+	for _, l := range f.Path {
+		f.pos = append(f.pos, int32(len(l.active))) //lint:allow steady-alloc — reset to [:0] above: backing survives across iterations
+		l.active = append(l.active, f)              //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
+	}
+	if f.remaining <= 1e-6 {
+		n.mayFinish = true
+	}
 }
 
 // Transfer is a convenience wrapper for processes: it starts the flow and
@@ -249,6 +273,7 @@ func (n *Network) advance() {
 		n.lastAt = now
 		return
 	}
+	n.nextValid = false
 	sec := dt.ToSeconds()
 	for _, f := range n.active {
 		moved := f.rate * sec
@@ -256,6 +281,9 @@ func (n *Network) advance() {
 			moved = f.remaining
 		}
 		f.remaining -= moved
+		if f.remaining <= 1e-6 {
+			n.mayFinish = true
+		}
 		if moved > 0 {
 			for _, l := range f.Path {
 				l.counter.Add(n.lastAt, now, moved*l.CountWeight)
@@ -346,9 +374,15 @@ func (n *Network) reshareBatch(flows []*Flow, firstReal int) {
 // retireFinished collects every active flow whose remaining bytes are
 // (within tolerance) zero into n.finished, then retires them. Collect first,
 // then retire: retiring in-place while scanning would permute the dense
-// registry under the scan.
+// registry under the scan. Without mayFinish no flow can qualify, so the
+// walk is skipped.
 func (n *Network) retireFinished() {
 	n.finished = n.finished[:0]
+	if !n.mayFinish {
+		return
+	}
+	n.mayFinish = false
+	n.finishScans++
 	for _, f := range n.active {
 		if f.remaining <= 1e-6 {
 			n.finished = append(n.finished, f) //lint:allow steady-alloc — scratch list reset to [:0] each pass: backing is reused
@@ -416,6 +450,9 @@ func (n *Network) retire(f *Flow) {
 	n.active[last] = nil
 	n.active = n.active[:last]
 	f.idx = -1
+	if f == n.nextFlow {
+		n.nextValid = false
+	}
 	for i, l := range f.Path {
 		l.removeFlowAt(int(f.pos[i]))
 	}
@@ -497,34 +534,71 @@ func (n *Network) computeRates(flowStart, linkStart int) {
 			panic("fabric: progressive filling made no progress")
 		}
 	}
+	n.foldNext(compFlows)
+}
+
+// foldNext folds freshly computed rates into the cached next completion.
+// Re-rating the holder leaves no known minimum, so the cache is dropped and
+// the next arming rescans. A holder already displaced earlier in the same
+// reshare needs no such care: its old projection, which bounds every
+// untouched flow from below, exceeds the cached minimum.
+func (n *Network) foldNext(flows []*Flow) {
+	if !n.nextValid {
+		return
+	}
+	for _, f := range flows {
+		if f == n.nextFlow {
+			n.nextValid = false
+			return
+		}
+		if f.rate > 0 {
+			if eta := f.eta(); eta < n.nextETA {
+				n.nextETA, n.nextFlow = eta, f
+			}
+		}
+	}
+}
+
+// eta projects f's completion relative to the last advance, rounded up to
+// whole nanoseconds and at least one tick. The full scan and the fold both
+// use it, so the armed time is bit-identical whichever path set it.
+func (f *Flow) eta() sim.Time {
+	eta := sim.Time(math.Ceil(f.remaining / f.rate * float64(sim.Second)))
+	if eta < 1 {
+		eta = 1
+	}
+	return eta
 }
 
 // scheduleNextCompletion arms a single event at the earliest projected flow
-// completion. Any state change bumps the epoch, so stale events no-op.
+// completion, rescanning the registry only when the cached minimum is
+// invalid. Any state change bumps the epoch, so stale events no-op; a fresh
+// event is armed on every reshare all the same, since its sequence number
+// orders it against other events at the same instant.
 func (n *Network) scheduleNextCompletion() {
 	n.epoch++
 	if len(n.active) == 0 {
 		return
 	}
-	soonest := sim.Time(math.MaxInt64)
-	for _, f := range n.active {
-		if f.rate <= 0 {
-			continue
+	if !n.nextValid {
+		n.nextScans++
+		soonest, holder := sim.Time(math.MaxInt64), (*Flow)(nil)
+		for _, f := range n.active {
+			if f.rate <= 0 {
+				continue
+			}
+			if eta := f.eta(); eta < soonest {
+				soonest, holder = eta, f
+			}
 		}
-		eta := sim.Time(math.Ceil(f.remaining / f.rate * float64(sim.Second)))
-		if eta < 1 {
-			eta = 1
+		if holder == nil {
+			panic("fabric: active flows but no positive rates (zero-capacity deadlock)")
 		}
-		if eta < soonest {
-			soonest = eta
-		}
-	}
-	if soonest == sim.Time(math.MaxInt64) {
-		panic("fabric: active flows but no positive rates (zero-capacity deadlock)")
+		n.nextETA, n.nextFlow, n.nextValid = soonest, holder, true
 	}
 	ce := n.grabCompletionEvent()
 	ce.epoch = n.epoch
-	n.eng.Schedule(soonest, ce.fn)
+	n.eng.Schedule(n.nextETA, ce.fn)
 }
 
 // grabCompletionEvent takes a pooled completion event or builds a new one.

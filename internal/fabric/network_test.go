@@ -365,3 +365,66 @@ func TestLinkStringAndClassString(t *testing.T) {
 		t.Errorf("MeasuredClasses = %d, want 7", len(MeasuredClasses()))
 	}
 }
+
+// TestSameInstantBurstSkipsScans pins what a reshare costs beside a wide
+// registry: 256 long-lived flows hold private links while bursts of 32
+// single-link flows are admitted one StartFlow at a time. Each admission
+// re-rates only its own one-flow component, so a burst costs at most one
+// next-completion rescan (when its first admission follows a time advance),
+// no finish scan, and no allocation once warm.
+func TestSameInstantBurstSkipsScans(t *testing.T) {
+	eng := sim.New()
+	net := NewNetwork(eng)
+	for i := 0; i < 256; i++ {
+		net.StartFlow(&Flow{Path: []*Link{bigWindowLink("long", 10)}, Bytes: 1e18}, nil)
+	}
+	// Two bursts alternate, each admitted as the other is half done, so
+	// every armed completion event fires within the test instead of
+	// stranding a pooled event behind the long-lived flows.
+	var bursts [2][]*Flow
+	for k := range bursts {
+		bursts[k] = make([]*Flow, 32)
+		for i := range bursts[k] {
+			bursts[k][i] = &Flow{Path: []*Link{bigWindowLink("burst", 10)}, Bytes: 1e6} // 0.1 ms
+		}
+	}
+	left := 0
+	done := func() {
+		if left--; left == 0 {
+			eng.Stop()
+		}
+	}
+	var nextScans, finishScans int64
+	admit := func(burst []*Flow) {
+		next0, finish0 := net.nextScans, net.finishScans
+		for _, f := range burst {
+			net.StartFlow(f, done)
+		}
+		nextScans, finishScans = net.nextScans-next0, net.finishScans-finish0
+	}
+	cycle := 0
+	step := func() {
+		burst := bursts[cycle%2]
+		cycle++
+		admit(burst)
+		left = len(burst)
+		eng.Run() // until the other burst completes
+	}
+	admit(bursts[1])
+	eng.RunUntil(eng.Now() + 50*sim.Microsecond)
+	step() // first burst after a time advance
+	if nextScans > 1 || finishScans != 0 {
+		t.Errorf("burst after a time advance cost %d completion rescans and %d finish scans, want <= 1 and 0",
+			nextScans, finishScans)
+	}
+	for i := 0; i < 3; i++ {
+		step() // warm up registries, scratch lists and the event pool
+	}
+	if nextScans > 1 || finishScans != 0 {
+		t.Errorf("burst of %d admissions cost %d completion rescans and %d finish scans, want <= 1 and 0",
+			len(bursts[0]), nextScans, finishScans)
+	}
+	if avg := testing.AllocsPerRun(50, step); avg != 0 {
+		t.Errorf("burst cycle allocates %v allocs/run, want 0", avg)
+	}
+}

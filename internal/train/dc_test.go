@@ -2,6 +2,9 @@ package train
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,6 +14,8 @@ import (
 	"llmbw/internal/model"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
+
 func dcBase(strategy Strategy) Config {
 	return Config{
 		Strategy:   strategy,
@@ -18,6 +23,50 @@ func dcBase(strategy Strategy) Config {
 		Topo:       "rail-only:nodes=8,pod=1",
 		Iterations: 2,
 		Warmup:     1,
+	}
+}
+
+// TestDCFatTreeGolden pins generated-fabric training byte for byte: ZeRO-3 on
+// a 256-node fat-tree under every collective algorithm, at 197 layers (10B
+// parameters) and at the largest fit, serialized by WriteSummariesJSON. The
+// 1- and 2-shard runs must both reproduce the file. Regenerate intentionally
+// with `go test ./internal/train -run DCFatTreeGolden -update-golden`.
+func TestDCFatTreeGolden(t *testing.T) {
+	base := Config{Strategy: ZeRO3, Topo: "fat-tree:nodes=256", Iterations: 2, Warmup: 1}
+	maxLayers := base.Profile().MaxLayers(model.DefaultBatchSize, 4)
+	path := filepath.Join("testdata", "dc_fattree.golden")
+	for _, shards := range []int{1, 2} {
+		var results []*Result
+		for _, algo := range []string{"flat", "2level", "multiring"} {
+			for _, layers := range []int{197, maxLayers} {
+				cfg := base
+				cfg.Algo = algo
+				cfg.Model = model.NewGPT(layers)
+				cfg.Shards = shards
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s/%d layers/%d shards: %v", algo, layers, shards, err)
+				}
+				results = append(results, res)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSummariesJSON(&buf, results); err != nil {
+			t.Fatal(err)
+		}
+		if *updateGolden && shards == 1 {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update-golden): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%d-shard fat-tree summaries drifted from %s.\n--- got ---\n%s", shards, path, buf.Bytes())
+		}
 	}
 }
 
