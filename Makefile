@@ -48,9 +48,9 @@ fuzz-smoke:
 
 ## bench: run the hot-path benchmarks and record machine-readable results —
 ## the substrate micro-benchmarks in BENCH_fabric.json, the repeated-
-## collective replay-vs-rebuild macro-benchmark in BENCH_collective.json,
-## the schedule-IR replay-vs-imperative iteration benchmark (which pins
-## the compiled path at zero steady-state allocations) in BENCH_train.json,
+## collective plan-replay macro-benchmark in BENCH_collective.json, the
+## compiled-schedule iteration replay benchmark (pinned at zero steady-state
+## allocations) in BENCH_train.json,
 ## and the sharded-engine serial-vs-parallel steady-state scaling grid
 ## (1/2/4 shards at 2/8/16 nodes) in BENCH_sim.json, and the datacenter-
 ## collective grid (flat vs 2-level vs multi-ring × 16/64/256 nodes ×
@@ -62,8 +62,8 @@ fuzz-smoke:
 ## the serving layer's zero-alloc steady loop) in BENCH_serve.json.
 bench:
 	$(GO) test -run '^$$' -bench 'FabricFairShare|SimEngineEvents|CollectiveAllReduce' -benchmem -json . > BENCH_fabric.json
-	$(GO) test -run '^$$' -bench 'CollectiveReplaySteady|CollectiveRebuildSteady' -benchmem -json . > BENCH_collective.json
-	$(GO) test -run '^$$' -bench 'ScheduleReplaySteady|ScheduleLegacySteady' -benchmem -json ./internal/train > BENCH_train.json
+	$(GO) test -run '^$$' -bench 'CollectiveReplaySteady' -benchmem -json . > BENCH_collective.json
+	$(GO) test -run '^$$' -bench 'ScheduleReplaySteady' -benchmem -json ./internal/train > BENCH_train.json
 	$(GO) test -run '^$$' -bench 'ShardedEngineSteady' -benchmem -json ./internal/sim > BENCH_sim.json
 	$(GO) test -run '^$$' -bench 'HierarchicalAllReduce' -benchmem -json ./internal/collective > BENCH_topo.json
 	$(GO) test -run '^$$' -bench 'ServeColdRun|ServeWarmRun|ServeWarmSweep|ScenarioCacheWarmGet|ServeDecodeSteady' -benchmem -json ./cmd/servesim ./internal/scenario ./internal/serve > BENCH_serve.json

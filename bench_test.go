@@ -280,15 +280,12 @@ func BenchmarkCollectiveAllReduce(b *testing.B) {
 	b.ReportMetric(dur.ToSeconds()*1000, "simulated-ms")
 }
 
-// benchCollectiveSteady is the repeated-collective macro-benchmark: one
-// cluster, one group, the same 8-rank dual-node all-reduce issued back to
-// back — the steady state every training iteration lives in. With compiled
-// plans the shape is built once and replayed (zero allocations per issue);
-// without, flows, stream caps and closures are rebuilt per issue. The pair
-// quantifies the win recorded in BENCH_collective.json.
-func benchCollectiveSteady(b *testing.B, compiled bool) {
-	defer func(old bool) { collective.CompiledPlans = old }(collective.CompiledPlans)
-	collective.CompiledPlans = compiled
+// BenchmarkCollectiveReplaySteady is the repeated-collective
+// macro-benchmark: one cluster, one group, the same 8-rank dual-node
+// all-reduce issued back to back — the steady state every training iteration
+// lives in. The shape's plan is compiled once and replayed with zero
+// allocations per issue; BENCH_collective.json records it.
+func BenchmarkCollectiveReplaySteady(b *testing.B) {
 	cfg := topology.DefaultConfig(2)
 	cfg.Window = sim.Time(1) << 60 // telemetry buckets must not grow with virtual time
 	c := topology.New(cfg)
@@ -311,9 +308,6 @@ func benchCollectiveSteady(b *testing.B, compiled bool) {
 	g.Start(collective.AllReduce, 1e9, restart)
 	c.Eng.Run()
 }
-
-func BenchmarkCollectiveReplaySteady(b *testing.B)  { benchCollectiveSteady(b, true) }
-func BenchmarkCollectiveRebuildSteady(b *testing.B) { benchCollectiveSteady(b, false) }
 
 // BenchmarkStressGPURoCE measures the Fig 4 GPUDirect stress scenario.
 func BenchmarkStressGPURoCE(b *testing.B) {

@@ -177,7 +177,9 @@ func TestSweepStream(t *testing.T) {
 func TestRunCoalescing(t *testing.T) {
 	ts := httptest.NewServer(newServer(4))
 	defer ts.Close()
-	// A config no other test uses, so the miss delta isolates this test.
+	// A config no other test uses, so the miss delta isolates this test; the
+	// reset drops the entry an earlier repetition (-count) cached.
+	train.ResetRunCache()
 	body := `{"strategy":"zero1","layers":3,"iterations":2,"warmup":1}`
 	before := train.RunCacheStats()
 

@@ -180,57 +180,8 @@ func (g *Group) StartRings(op Op, payload, hopRateLimit float64, rings int, onDo
 	if rings != 1 && rings != 2 {
 		panic(fmt.Sprintf("collective: unsupported ring count %d", rings))
 	}
-	if !CompiledPlans {
-		g.startRingsDirect(op, payload, hopRateLimit, rings, onDone)
-		return
-	}
 	p := g.acquirePlan(planKey{op: op, payload: payload, limit: hopRateLimit, rings: int8(rings)})
 	p.start(onDone)
-}
-
-// startRingsDirect is the rebuild-per-issue ring path: flows, stream caps and
-// completion closures are constructed from scratch. It is the reference the
-// compiled-plan path is measured (and determinism-tested) against.
-//
-//lint:cold
-func (g *Group) startRingsDirect(op Op, payload, hopRateLimit float64, rings int, onDone func()) {
-	n := len(g.ranks)
-	eng := g.cluster.Eng
-	wire := WireBytesPerHop(op, n, payload)
-	latency := sim.Time(Steps(op, n)) * topology.LatNCCLStep
-	type leg struct {
-		route topology.Route
-		bytes float64
-		cross bool
-	}
-	var legs []leg
-	for i := range g.hops {
-		if rings == 2 {
-			legs = append(legs,
-				leg{g.hops[i], wire / 2, g.crosses[i]},
-				leg{g.rhops[i], wire / 2, g.crosses[i]})
-		} else {
-			legs = append(legs, leg{g.hops[i], wire, g.crosses[i]})
-		}
-	}
-	frac := streamFraction(g.cluster, rings)
-	remaining := len(legs)
-	for i, l := range legs {
-		f := l.route.Flow(fmt.Sprintf("%s/hop%d", op, i), l.bytes)
-		f.RateLimit = hopRateLimit
-		if l.cross {
-			crossCap := frac * minRoCECapacity(l.route)
-			if f.RateLimit == 0 || f.RateLimit > crossCap {
-				f.RateLimit = crossCap
-			}
-		}
-		g.cluster.Net.StartFlow(f, func() {
-			remaining--
-			if remaining == 0 {
-				eng.Schedule(latency, onDone)
-			}
-		})
-	}
 }
 
 // Run executes the collective synchronously from a driver process.

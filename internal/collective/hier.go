@@ -30,18 +30,12 @@ import (
 	"llmbw/internal/topology"
 )
 
-// Hierarchical gates the topology-aware algorithms. When false every
-// DCGroup runs its flat-ring legacy twin regardless of the requested
-// algorithm — the A/B lever that pins the hierarchical path's wiring against
-// the colocated fluid reference.
-var Hierarchical = true
-
 // Algo selects the cross-node schedule of a datacenter collective.
 type Algo int
 
 // The datacenter collective algorithms.
 const (
-	// AlgoFlat is the legacy twin: one fused dual-ring over node leaders
+	// AlgoFlat is the flat ring: one fused dual-ring over node leaders
 	// with fluid end-to-end crossing flows on rails 0/1, colocated on one
 	// shard — the testbed shape scaled up.
 	AlgoFlat Algo = iota
@@ -77,15 +71,6 @@ func ParseAlgo(s string) (Algo, error) {
 		return AlgoMultiRing, nil
 	}
 	return 0, fmt.Errorf("collective: unknown algorithm %q (want flat, 2level or multiring)", s)
-}
-
-// EffectiveAlgo applies the Hierarchical toggle: with the toggle off, every
-// algorithm degrades to its flat legacy twin.
-func EffectiveAlgo(a Algo) Algo {
-	if !Hierarchical {
-		return AlgoFlat
-	}
-	return a
 }
 
 // DCStreamFraction is the fraction of a datacenter link's bidirectional
@@ -126,7 +111,7 @@ func postOp(op Op) (Op, bool) {
 // concurrently from all shards.
 type DCGroup struct {
 	sc   *topology.DCShardedCluster
-	algo Algo // effective algorithm (Hierarchical toggle already applied)
+	algo Algo
 
 	plans    map[dcKey]dcPlan
 	compiled int
@@ -185,7 +170,7 @@ type dcLeg struct {
 	destLand func() // successor-side arrival; runs on the successor's shard
 }
 
-// flatJoin is the flat twin's global completion: the fused ring finishes
+// flatJoin is the flat ring's global completion: the fused ring finishes
 // when the slowest hop drains, then every node resumes. Callbacks fire in
 // node-index order regardless of flow completion order, so the replay is
 // insensitive to same-time event permutations.
@@ -202,20 +187,17 @@ type flatJoin struct {
 	fire      func()
 }
 
-// NewDCGroup builds the collective group over all nodes of sc. The
-// Hierarchical toggle is applied here: construction and replay both see the
-// effective algorithm. A flat group requires a colocated cluster (its fluid
-// crossing flows cannot span shards); hierarchical groups require the
-// sharded build.
+// NewDCGroup builds the collective group over all nodes of sc. A flat group
+// requires a colocated cluster (its fluid crossing flows cannot span shards);
+// hierarchical groups require the sharded build.
 func NewDCGroup(sc *topology.DCShardedCluster, algo Algo) *DCGroup {
-	algo = EffectiveAlgo(algo)
 	if (algo == AlgoFlat) != sc.Colocated() {
 		panic(fmt.Sprintf("collective: algorithm %v on a cluster built for colocated=%v", algo, sc.Colocated()))
 	}
 	return &DCGroup{sc: sc, algo: algo, plans: make(map[dcKey]dcPlan)}
 }
 
-// Algo returns the effective algorithm.
+// Algo returns the group's algorithm.
 func (g *DCGroup) Algo() Algo { return g.algo }
 
 // Compiled returns the number of compiled plan shapes.
@@ -292,7 +274,7 @@ type hierShape struct {
 	legName          [][]string // per node, per rail
 }
 
-// flatShape is the flat twin's portable part: the per-leg wire volume, ring
+// flatShape is the flat ring's portable part: the per-leg wire volume, ring
 // count, step latency and flow names (in addLeg order: per node, rail 0 then
 // rail 1 when dual-ring).
 type flatShape struct {
@@ -492,7 +474,7 @@ func (rec *dcNode) maybeCross() {
 	rec.eng.Schedule(rec.crossLat, rec.after)
 }
 
-// compileFlat builds the legacy twin: a fused ring over node leaders with
+// compileFlat builds the flat ring: a fused ring over node leaders with
 // the dual-ring NIC assignment the testbed group uses (forward ring on rail
 // 0, reverse on rail 1; a single-rail fabric gets one ring), each crossing
 // hop a fluid end-to-end flow over source NIC, trunks and destination NIC.

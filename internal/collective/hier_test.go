@@ -20,7 +20,7 @@ func buildDCGroup(t *testing.T, spec string, algo Algo, shards int) (*topology.D
 	}
 	cfg.Window = sim.Time(1) << 60
 	var sc *topology.DCShardedCluster
-	if EffectiveAlgo(algo) == AlgoFlat {
+	if algo == AlgoFlat {
 		sc, err = topology.NewDCColocated(cfg, shards)
 	} else {
 		sc, err = topology.NewDCSharded(cfg, shards)
@@ -33,7 +33,7 @@ func buildDCGroup(t *testing.T, spec string, algo Algo, shards int) (*topology.D
 
 // driveDC runs two iterations of a three-collective round on every node and
 // renders per-node completion times plus per-node NIC/NVSwitch telemetry —
-// the byte-identity surface for the shard-count and toggle A/B tests.
+// the byte-identity surface for the shard-count A/B tests.
 func driveDC(t *testing.T, spec string, algo Algo, shards int, parallel bool) string {
 	t.Helper()
 	old := sim.Sharded
@@ -132,21 +132,6 @@ func TestFlatShardInvariant(t *testing.T) {
 			if got := driveDC(t, "fat-tree:nodes=8", AlgoFlat, shards, parallel); got != ref {
 				t.Errorf("flat shards=%d parallel=%v differs from shards=1", shards, parallel)
 			}
-		}
-	}
-}
-
-// TestHierarchicalToggleOffMatchesFlat pins the A/B lever: with the toggle
-// off, a group built for 2-level or multi-ring degrades to the flat twin,
-// byte for byte.
-func TestHierarchicalToggleOffMatchesFlat(t *testing.T) {
-	flat := driveDC(t, "fat-tree:nodes=8", AlgoFlat, 1, false)
-	old := Hierarchical
-	Hierarchical = false
-	defer func() { Hierarchical = old }()
-	for _, algo := range []Algo{AlgoTwoLevel, AlgoMultiRing} {
-		if got := driveDC(t, "fat-tree:nodes=8", algo, 1, false); got != flat {
-			t.Errorf("toggle-off %v differs from flat twin:\n%s\nvs\n%s", algo, got, flat)
 		}
 	}
 }

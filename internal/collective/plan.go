@@ -8,15 +8,6 @@ import (
 	"llmbw/internal/topology"
 )
 
-// CompiledPlans selects the collective issue path: true (the default) compiles
-// a Plan per (op, payload, rate-limit, rings/tree) shape once and replays it
-// on every subsequent issue, so steady-state collectives allocate nothing;
-// false rebuilds flows and closures per issue, the pre-plan behaviour. The
-// two paths are byte-identical in simulation outcome (pinned by the
-// determinism tests); the knob exists so those tests can compare them. It
-// must not be toggled while a simulation is running.
-var CompiledPlans = true
-
 // planKey identifies one collective shape. Training iterations re-issue the
 // same handful of shapes thousands of times (the paper's Table IV/V
 // workloads), which is what makes compiling them worthwhile.
@@ -68,9 +59,9 @@ func (g *Group) acquirePlan(key planKey) *Plan {
 		g.plans[key] = free[:k-1]
 		if ce := g.cluster.Net.CapacityEpoch(); ce != p.capEpoch {
 			// A link capacity changed since compile (e.g. whatif's degraded
-			// NIC); recompute the cross-leg caps exactly as a fresh issue
-			// would. In-flight plans keep their caps, matching the legacy
-			// path where flows already started keep their limits.
+			// NIC); recompute the cross-leg caps exactly as a fresh compile
+			// would. In-flight plans keep their caps: flows already started
+			// keep their limits.
 			p.applyCrossCaps()
 			p.capEpoch = ce
 		}
@@ -93,12 +84,12 @@ func (g *Group) releasePlan(p *Plan) {
 // Precompile ensures a plan for the shape sits on the free list, so the
 // first issue replays instead of compiling mid-simulation. Schedule
 // executors call it at construction for every collective their program can
-// issue. No-op when plans are disabled, when the shape degenerates to a
-// zero-cost operation, or when the shape already has a parked plan.
+// issue. No-op when the shape degenerates to a zero-cost operation or
+// already has a parked plan.
 // Precompilation generates no engine events and is therefore invisible to
 // the simulation outcome.
 func (g *Group) Precompile(op Op, payload, hopRateLimit float64, rings int) {
-	if !CompiledPlans || len(g.ranks) == 1 || payload <= 0 {
+	if len(g.ranks) == 1 || payload <= 0 {
 		return
 	}
 	key := planKey{op: op, payload: payload, limit: hopRateLimit, rings: int8(rings)}
@@ -159,10 +150,9 @@ func (p *Plan) addLeg(route topology.Route, name string, bytes float64, cross bo
 	}
 }
 
-// compileRings mirrors the direct ring construction: forward (and, for two
-// rings, reverse) legs per hop in hop order, each carrying the per-hop wire
-// volume split across the rings, named by leg index exactly as the direct
-// path names them.
+// compileRings builds forward (and, for two rings, reverse) legs per hop in
+// hop order, each carrying the per-hop wire volume split across the rings and
+// named by leg index.
 func (p *Plan) compileRings() {
 	g := p.g
 	n := len(g.ranks)
@@ -184,8 +174,7 @@ func (p *Plan) compileRings() {
 }
 
 // applyCrossCaps sets every node-crossing leg's rate limit to the attainable
-// stream rate over its route, folded with the plan's per-hop cap — the same
-// arithmetic the direct path performs per issue.
+// stream rate over its route, folded with the plan's per-hop cap.
 func (p *Plan) applyCrossCaps() {
 	for _, cl := range p.cross {
 		crossCap := p.frac * minRoCECapacity(cl.route)

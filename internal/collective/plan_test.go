@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"testing"
 
 	"llmbw/internal/fabric"
@@ -8,20 +9,98 @@ import (
 	"llmbw/internal/topology"
 )
 
+// referenceStartRings is the rebuild-per-issue ring collective: flows,
+// stream caps and completion closures are constructed from scratch on every
+// issue, with one StartFlow per leg. It is the reference compiled plans are
+// determinism-tested against.
+func (g *Group) referenceStartRings(op Op, payload, hopRateLimit float64, rings int, onDone func()) {
+	n := len(g.ranks)
+	eng := g.cluster.Eng
+	wire := WireBytesPerHop(op, n, payload)
+	latency := sim.Time(Steps(op, n)) * topology.LatNCCLStep
+	type leg struct {
+		route topology.Route
+		bytes float64
+		cross bool
+	}
+	var legs []leg
+	for i := range g.hops {
+		if rings == 2 {
+			legs = append(legs,
+				leg{g.hops[i], wire / 2, g.crosses[i]},
+				leg{g.rhops[i], wire / 2, g.crosses[i]})
+		} else {
+			legs = append(legs, leg{g.hops[i], wire, g.crosses[i]})
+		}
+	}
+	frac := streamFraction(g.cluster, rings)
+	remaining := len(legs)
+	for i, l := range legs {
+		f := l.route.Flow(fmt.Sprintf("%s/hop%d", op, i), l.bytes)
+		f.RateLimit = hopRateLimit
+		if l.cross {
+			crossCap := frac * minRoCECapacity(l.route)
+			if f.RateLimit == 0 || f.RateLimit > crossCap {
+				f.RateLimit = crossCap
+			}
+		}
+		g.cluster.Net.StartFlow(f, func() {
+			remaining--
+			if remaining == 0 {
+				eng.Schedule(latency, onDone)
+			}
+		})
+	}
+}
+
+// referenceStartTree is the rebuild-per-issue tree all-reduce, the
+// reference for compiled tree plans.
+func (g *Group) referenceStartTree(payload float64, onDone func()) {
+	n := len(g.ranks)
+	eng := g.cluster.Eng
+	latency := sim.Time(TreeSteps(n)) * topology.LatNCCLStep
+	edges := treeEdges(n)
+	remaining := len(edges)
+	for i, e := range edges {
+		a, b := g.ranks[e[0]], g.ranks[e[1]]
+		var route topology.Route
+		cross := a.Node != b.Node
+		if cross {
+			route = g.cluster.GPUToRemoteGPU(a, b)
+		} else {
+			route = g.cluster.GPUToGPU(a, b)
+		}
+		f := route.Flow(fmt.Sprintf("tree-allreduce/edge%d", i), 2*payload)
+		if cross {
+			cap := FusedStreamFraction * minRoCECapacity(route)
+			if eff := g.cluster.Cfg.StreamEff; eff > 0 {
+				cap = eff * minRoCECapacity(route)
+			}
+			f.RateLimit = cap
+		}
+		g.cluster.Net.StartFlow(f, func() {
+			remaining--
+			if remaining == 0 {
+				eng.Schedule(latency, onDone)
+			}
+		})
+	}
+}
+
 // issueSequenceTimes runs a fixed mix of collective issues — replays, a
-// single-ring shape, a rate-limited shape — back to back on a fresh cluster
-// and returns each completion time. The only degree of freedom between calls
-// is the issue path under test.
+// single-ring shape, a rate-limited shape, tree all-reduces — back to back on
+// a fresh cluster and returns each completion time. compiled selects the
+// production issue path (StartRings/StartTree, compiled plans) or the
+// rebuild-per-issue reference; that is the only degree of freedom between
+// calls.
 func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
-	defer func(old bool) { CompiledPlans = old }(CompiledPlans)
-	CompiledPlans = compiled
 	c := topology.New(topology.DefaultConfig(nodes))
 	g := NewGroup(c, NodeMajorRanks(nodes, 4))
 	seq := []struct {
 		op      Op
 		payload float64
 		limit   float64
-		rings   int
+		rings   int // 0 issues a tree all-reduce
 	}{
 		{AllReduce, 2e9, 0, 2},
 		{ReduceScatter, 1e9, 0, 1},
@@ -29,12 +108,26 @@ func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
 		{AllReduce, 2e9, 0, 2}, // replay of the first shape
 		{AllReduce, 2e9, 5e9, 2},
 		{ReduceScatter, 1e9, 0, 1}, // replay
+		{AllReduce, 5e8, 0, 0},
+		{AllReduce, 5e8, 0, 0}, // tree replay
+	}
+	start := func(op Op, payload, limit float64, rings int, done func()) {
+		switch {
+		case rings == 0 && compiled:
+			g.StartTree(payload, done)
+		case rings == 0:
+			g.referenceStartTree(payload, done)
+		case compiled:
+			g.StartRings(op, payload, limit, rings, done)
+		default:
+			g.referenceStartRings(op, payload, limit, rings, done)
+		}
 	}
 	var times []sim.Time
 	c.Eng.Go("driver", func(p *sim.Proc) {
 		for _, s := range seq {
 			s := s
-			p.Await(func(resume func()) { g.StartRings(s.op, s.payload, s.limit, s.rings, resume) })
+			p.Await(func(resume func()) { start(s.op, s.payload, s.limit, s.rings, resume) })
 			times = append(times, p.Now())
 		}
 	})
@@ -44,7 +137,7 @@ func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
 
 // TestPlanMatchesDirectIssue is the collective-level determinism A/B: a
 // replayed plan must complete at exactly the virtual time the rebuild-per-
-// issue path produces, on single- and dual-node clusters.
+// issue reference produces, on single- and dual-node clusters.
 func TestPlanMatchesDirectIssue(t *testing.T) {
 	for _, nodes := range []int{1, 2} {
 		direct := issueSequenceTimes(false, nodes)
@@ -108,16 +201,20 @@ func TestConcurrentSameShapeIssues(t *testing.T) {
 // replay must recompute them exactly as a fresh issue would.
 func TestPlanRefreshesCapsOnCapacityChange(t *testing.T) {
 	run := func(compiled bool) sim.Time {
-		defer func(old bool) { CompiledPlans = old }(CompiledPlans)
-		CompiledPlans = compiled
 		c := topology.New(topology.DefaultConfig(2))
 		g := NewGroup(c, NodeMajorRanks(2, 4))
-		g.Start(AllReduce, 2e9, func() {})
+		start := g.StartLimited
+		if !compiled {
+			start = func(op Op, payload, limit float64, onDone func()) {
+				g.referenceStartRings(op, payload, limit, 2, onDone)
+			}
+		}
+		start(AllReduce, 2e9, 0, func() {})
 		c.Eng.Run()
 		l := c.LinksOfClass(fabric.RoCE, 0)[0]
 		c.Net.SetCapacity(l, l.Capacity()/2)
 		var doneAt sim.Time
-		g.Start(AllReduce, 2e9, func() { doneAt = c.Eng.Now() })
+		start(AllReduce, 2e9, 0, func() { doneAt = c.Eng.Now() })
 		c.Eng.Run()
 		return doneAt
 	}
@@ -125,10 +222,10 @@ func TestPlanRefreshesCapsOnCapacityChange(t *testing.T) {
 	direct := run(false)
 	planned := run(true)
 	if first != direct {
-		t.Fatalf("direct path not deterministic: %v vs %v", first, direct)
+		t.Fatalf("reference path not deterministic: %v vs %v", first, direct)
 	}
 	if planned != direct {
-		t.Errorf("replay after SetCapacity finished at %v, direct path at %v", planned, direct)
+		t.Errorf("replay after SetCapacity finished at %v, reference at %v", planned, direct)
 	}
 }
 

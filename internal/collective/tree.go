@@ -48,16 +48,13 @@ func (g *Group) StartTree(payload float64, onDone func()) {
 		eng.Schedule(0, onDone)
 		return
 	}
-	if !CompiledPlans {
-		g.startTreeDirect(payload, onDone)
-		return
-	}
 	p := g.acquirePlan(planKey{op: AllReduce, payload: payload, tree: true})
 	p.start(onDone)
 }
 
-// compileTree mirrors startTreeDirect: one flow per tree edge in edge order,
-// each carrying the payload up and down.
+// compileTree builds one flow per tree edge in edge order, each carrying the
+// payload up and down; node-crossing edges are capped at the fused stream
+// rate.
 func (p *Plan) compileTree() {
 	g := p.g
 	n := len(g.ranks)
@@ -78,42 +75,6 @@ func (p *Plan) compileTree() {
 		p.addLeg(route, fmt.Sprintf("tree-allreduce/edge%d", i), 2*p.key.payload, cross)
 	}
 	p.applyCrossCaps()
-}
-
-// startTreeDirect is the rebuild-per-issue tree path, kept as the reference
-// for the compiled-plan determinism tests.
-//
-//lint:cold
-func (g *Group) startTreeDirect(payload float64, onDone func()) {
-	n := len(g.ranks)
-	eng := g.cluster.Eng
-	latency := sim.Time(TreeSteps(n)) * topology.LatNCCLStep
-	edges := treeEdges(n)
-	remaining := len(edges)
-	for i, e := range edges {
-		a, b := g.ranks[e[0]], g.ranks[e[1]]
-		var route topology.Route
-		cross := a.Node != b.Node
-		if cross {
-			route = g.cluster.GPUToRemoteGPU(a, b)
-		} else {
-			route = g.cluster.GPUToGPU(a, b)
-		}
-		f := route.Flow(fmt.Sprintf("tree-allreduce/edge%d", i), 2*payload)
-		if cross {
-			cap := FusedStreamFraction * minRoCECapacity(route)
-			if eff := g.cluster.Cfg.StreamEff; eff > 0 {
-				cap = eff * minRoCECapacity(route)
-			}
-			f.RateLimit = cap
-		}
-		g.cluster.Net.StartFlow(f, func() {
-			remaining--
-			if remaining == 0 {
-				eng.Schedule(latency, onDone)
-			}
-		})
-	}
 }
 
 // StartAuto picks the tree for small all-reduces and the dual-ring algorithm

@@ -14,13 +14,13 @@ func bigWindowLink(name string, capGBps float64) *Link {
 	return NewLink(name, NVLink, 0, capGBps*1e9, sim.Time(1)<<60)
 }
 
-// admissionScenarioCompletions drives a randomized mix of batched admissions —
+// admissionScenarioCompletions drives a randomized mix of admissions —
 // shared and disjoint paths, rate-limited flows, zero-byte markers — and
-// returns the completion timestamps in event order. The rng seed is fixed, so
-// the only degree of freedom between calls is the admission path under test.
+// returns the completion timestamps in event order. Each batch is admitted
+// with one StartFlows call, or (batch=false) with one StartFlow call per flow
+// in order, the serial reference. The rng seed is fixed, so the only degree
+// of freedom between calls is the admission path under test.
 func admissionScenarioCompletions(batch bool) []sim.Time {
-	defer func(old bool) { BatchAdmission = old }(BatchAdmission)
-	BatchAdmission = batch
 	eng := sim.New()
 	net := NewNetwork(eng)
 	links := []*Link{link("a", 3), link("b", 7), link("c", 2), link("d", 5)}
@@ -43,7 +43,15 @@ func admissionScenarioCompletions(batch bool) []sim.Time {
 			flows = append(flows, f)
 		}
 		at := sim.Time(rng.Intn(1500)) * sim.Millisecond
-		eng.ScheduleAt(at, func() { net.StartFlows(flows, record) })
+		eng.ScheduleAt(at, func() {
+			if batch {
+				net.StartFlows(flows, record)
+				return
+			}
+			for _, f := range flows {
+				net.StartFlow(f, record)
+			}
+		})
 	}
 	eng.Run()
 	return completions
@@ -105,10 +113,8 @@ func TestStartFlowsOneResharePerComponent(t *testing.T) {
 }
 
 // TestSerialAdmissionResharesPerFlow documents the cost batching removes:
-// the fallback path pays one reshare per admitted flow.
+// admitting the same flows one StartFlow at a time pays one reshare each.
 func TestSerialAdmissionResharesPerFlow(t *testing.T) {
-	defer func(old bool) { BatchAdmission = old }(BatchAdmission)
-	BatchAdmission = false
 	eng := sim.New()
 	net := NewNetwork(eng)
 	l := link("l", 8)
@@ -117,7 +123,9 @@ func TestSerialAdmissionResharesPerFlow(t *testing.T) {
 		batch[i] = &Flow{Path: []*Link{l}, Bytes: 1e9}
 	}
 	before := net.Reshares()
-	net.StartFlows(batch, nil)
+	for _, f := range batch {
+		net.StartFlow(f, nil)
+	}
 	if got := net.Reshares() - before; got != 5 {
 		t.Errorf("serial admission of 5 flows cost %d reshares, want 5", got)
 	}

@@ -35,15 +35,6 @@ func (f *Flow) Rate() float64 { return f.rate }
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
 
-// BatchAdmission selects the admission path StartFlows uses: true (the
-// default) admits a whole batch with one advance and one progressive-filling
-// pass per touched component; false falls back to one StartFlow call per
-// flow, the pre-batching behaviour. The two paths are byte-identical in
-// simulation outcome (pinned by the determinism tests); the knob exists so
-// those tests can compare them. It must not be toggled while a simulation is
-// running.
-var BatchAdmission = true
-
 // Network manages active flows over the link graph and advances them in
 // virtual time.
 //
@@ -174,12 +165,6 @@ func (n *Network) StartFlow(f *Flow, onDone func()) {
 // serial admission touching it would have used.
 func (n *Network) StartFlows(flows []*Flow, onDone func()) {
 	if len(flows) == 0 {
-		return
-	}
-	if !BatchAdmission {
-		for _, f := range flows {
-			n.StartFlow(f, onDone)
-		}
 		return
 	}
 	admitted := false

@@ -1,8 +1,9 @@
-// Package sched holds the layer-partition arithmetic shared by the training
-// strategies and the schedule compiler: round-robin splits of a model's layer
-// count into gradient communication buckets (PyTorch DDP / DeepSpeed bucketing)
-// and ZeRO-3 parameter prefetch groups. The strategies and the compiled
-// schedule IR must agree exactly on these splits — one helper, two callers.
+// Package sched holds round-robin partition arithmetic: splits of a model's
+// layer count into gradient communication buckets (PyTorch DDP / DeepSpeed
+// bucketing) and ZeRO-3 parameter prefetch groups for train's schedule
+// compiler and its multi-process straggler study, and the deal of nodes or
+// pods to shards in topology's partitioners. It imports nothing from the
+// simulator, so any of those layers can depend on it without a cycle.
 package sched
 
 // RoundRobin deals items one at a time into parts slices (item i lands in

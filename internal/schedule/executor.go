@@ -14,9 +14,8 @@ import (
 // counter, and resumes from the blocking op's completion event. Every
 // callback is bound once at construction and every per-iteration resource
 // (flow sets, stream issue records, collective handles and plans) is pooled,
-// so steady-state replay allocates nothing — and every engine interaction
-// reproduces the imperative coroutine path's events in the same order, which
-// keeps the two paths byte-identical.
+// so steady-state replay allocates nothing, and every replay issues the same
+// engine events in the same order.
 
 // Env binds a schedule to one live run. A Schedule is pure data; everything
 // tied to a cluster instance — the engine, the fabric, the communicator, the
@@ -157,9 +156,8 @@ func (ex *Executor) Run(done func()) {
 		if q.tail != nil {
 			// The previous iteration's stream tail has fired and all its
 			// waiters have run (every stream ends waited or drained); return
-			// it to the pool before the stream restarts. The legacy path
-			// simply leaked these handles into a fresh queue per iteration —
-			// pool bookkeeping only, invisible to the event stream.
+			// it to the pool before the stream restarts — pool bookkeeping
+			// only, invisible to the event stream.
 			q.tail.Release()
 			q.tail, q.tailAuto = nil, false
 		}

@@ -26,8 +26,7 @@ import (
 // Rewrite selects a schedule-level ablation applied after compilation. A
 // rewrite transforms the op list before execution — the schedule IR's whole
 // point: what-if studies become program transformations instead of forked
-// workload implementations. Rewrites force the compiled-schedule path (the
-// imperative coroutines cannot honour them).
+// workload implementations.
 type Rewrite int
 
 // Supported rewrites.
@@ -56,10 +55,9 @@ func (rw Rewrite) String() string {
 // Kind discriminates schedule ops.
 type Kind uint8
 
-// Schedule op kinds. Each op mirrors one imperative building block of the
-// original coroutine workloads exactly — same engine events, same order —
-// which is what makes the replay byte-identical to the code it compiled
-// from.
+// Schedule op kinds. Each op is one building block of a workload's
+// iteration and issues the same engine events, in the same order, on every
+// replay.
 const (
 	// OpFlows launches a pooled flow set, fire-and-forget (e.g. the
 	// dataloader's host→GPU staging, a decode batch's logit copies).

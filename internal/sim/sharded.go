@@ -10,9 +10,10 @@ import (
 // goroutines; when false, the same sharded program is replayed on one
 // goroutine by a serial merge loop in global (time, shard, seq) order. The
 // two paths are byte-identical in every observable (traces, telemetry,
-// summaries), which is the A/B contract this toggle exists to test — the
-// same idiom as fabric.BatchAdmission, collective.CompiledPlans and
-// train.CompiledSchedules.
+// summaries). The serial merge is the parallel engine's live oracle: it is
+// the repository's only package-level execution toggle, kept so the sharded
+// A/B tests can compare the two. It must not be toggled while a simulation
+// is running.
 var Sharded = true
 
 const (

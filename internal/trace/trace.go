@@ -105,9 +105,10 @@ func (k Kind) Class() Class {
 }
 
 // Phase tags a span with the iteration phase of the schedule op that emitted
-// it. The legacy imperative strategies emit PhaseNone; the compiled schedule
-// IR tags every op, so exported traces can be filtered by phase. Phase never
-// affects rendering, summaries or breakdowns — adding it is golden-safe.
+// it. The schedule IR tags every op, so exported traces can be filtered by
+// phase; spans recorded outside a compiled schedule (training start-up and
+// checkpoint writes) carry PhaseNone. Phase never affects rendering,
+// summaries or breakdowns — adding it is golden-safe.
 type Phase uint8
 
 // Iteration phases.

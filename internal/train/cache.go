@@ -42,9 +42,8 @@ func (c Config) ScenarioKey() (string, bool) {
 		placement = fmt.Sprintf("%s|%v|%v|%v",
 			c.Placement.Name, c.Placement.Drives, c.Placement.Volumes, c.Placement.RankVol)
 	}
-	// Topo is keyed canonically and Algo post-toggle, so "ft:nodes=64" and
-	// "fat-tree:nodes=64" share an entry while flipping
-	// collective.Hierarchical never serves a stale twin.
+	// Topo and Algo are keyed canonically, so "ft:nodes=64" and
+	// "fat-tree:nodes=64" (or "hier" and "2level") share an entry.
 	topo, algo := "-", "-"
 	if c.IsDC() {
 		dc, err := topology.ParseTopoSpec(c.Topo)
@@ -56,7 +55,7 @@ func (c Config) ScenarioKey() (string, bool) {
 		if err != nil {
 			return "", false
 		}
-		algo = collective.EffectiveAlgo(a).String()
+		algo = a.String()
 	}
 	return scenario.Intern(fmt.Sprintf("s%d o%d n%d m%+v tp%d pp%d b%d P{%s} i%d w%d ck%d tr%t win%d pb%t roce%g xbar%g rw%d sh%d topo{%s} algo{%s}",
 		c.Strategy, c.Offload, c.Nodes, c.Model, c.TensorParallel, c.PipelineParallel,

@@ -6,17 +6,18 @@ import (
 	"llmbw/internal/collective"
 	"llmbw/internal/memory"
 	"llmbw/internal/scenario"
+	"llmbw/internal/sched"
 	"llmbw/internal/schedule"
 	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 	"llmbw/internal/trace"
 )
 
-// This file is the schedule compiler: each strategy's imperative iteration
-// (strategies.go / hybrid.go) expressed as a one-time lowering into the
-// internal/schedule op vocabulary. Every emit mirrors one legacy call in the
-// same program order with the same precomputed operands, which is what lets
-// the executor replay the exact event sequence of the coroutine path.
+// This file is the schedule compiler: each strategy's training iteration
+// expressed as a one-time lowering into the internal/schedule op vocabulary.
+// Every operand is precomputed at compile time, so the executor replays the
+// same event sequence every iteration; testdata/schedule_shapes.golden pins
+// the result of each strategy × offload shape.
 
 // scheduleCache is the compiled-program tier of the warm-artifact store. A
 // non-hybrid schedule is a pure function of the configuration slice keyed
@@ -83,6 +84,25 @@ func (r *Runner) compileIteration() *schedule.Schedule {
 	return b.S.Apply(r.cfg.Rewrite)
 }
 
+// buckets splits the layer count into communication buckets.
+func buckets(layers int) []int {
+	return sched.Buckets(layers, layersPerBucket, maxCommBuckets)
+}
+
+// groups splits layers into ZeRO-3 parameter prefetch groups.
+func groups(layers int) []int {
+	return sched.Groups(layers, zero3Groups)
+}
+
+// backwardFactor is the compute multiple of a forward pass spent in backward
+// (2×), plus one recompute forward when activation checkpointing is on.
+func (r *Runner) backwardFactor() float64 {
+	if r.prof.ActivationCkpt {
+		return 3
+	}
+	return 2
+}
+
 // schedBuilder layers the strategies' domain helpers (FLOP→duration
 // conversion, offload/NVMe policies, chunking) over the generic schedule
 // builder; emits inherit the builder's current Phase.
@@ -136,7 +156,6 @@ func (b *schedBuilder) offload(bytesPerRank float64) {
 func (b *schedBuilder) hostAdam(params int64) {
 	d := b.r.cpu.AdamTime(params, 2)
 	if d <= 0 {
-		// The legacy hostAdam emits nothing for an empty step.
 		return
 	}
 	b.Paced(trace.CPUAdam, d, params)
@@ -144,7 +163,6 @@ func (b *schedBuilder) hostAdam(params int64) {
 
 func (b *schedBuilder) nvme(bytesPerRank float64, write bool) {
 	if bytesPerRank <= 0 {
-		// Mirrors nvmeIO's early return.
 		return
 	}
 	b.NVMe(trace.NVMeIO, bytesPerRank, write)
@@ -160,7 +178,7 @@ func (b *schedBuilder) stageAllReduce(groups []*collective.Group, payload float6
 
 func (b *schedBuilder) boundary(routes []topology.Route, bytes float64) {
 	if len(routes) == 0 || bytes <= 0 {
-		// Mirrors sendBoundaries' early return.
+		// A single-stage pipeline has no boundary to cross.
 		return
 	}
 	b.RouteXfer(trace.OffloadCopy, routes, bytes)
@@ -181,7 +199,8 @@ func (b *schedBuilder) z1Collective(op collective.Op, payload float64) {
 	}
 }
 
-// forward lowers forwardPass.
+// forward lowers the forward compute shared by DDP and ZeRO-1/2,
+// accumulating activation memory layer by layer.
 func (b *schedBuilder) forward(mp int) {
 	r := b.r
 	g := r.cfg.Model
@@ -196,7 +215,8 @@ func (b *schedBuilder) forward(mp int) {
 	b.compute(trace.Elementwise, 0) // loss/softmax epilogue
 }
 
-// optimizer lowers optimizerPhase.
+// optimizer lowers the weight update to GPU, CPU (ZeRO-Offload) or
+// NVMe-staged CPU (ZeRO-Infinity) per the configured offload mode.
 func (b *schedBuilder) optimizer() {
 	r := b.r
 	world := int64(r.cfg.WorldSize())
@@ -222,6 +242,9 @@ func (b *schedBuilder) optimizer() {
 	}
 }
 
+// compileDDP: forward, backward with per-bucket all-reduce overlapped on the
+// comm stream (PyTorch DDP's gradient bucketing), then a replicated fused
+// Adam step on every GPU.
 func (b *schedBuilder) compileDDP() {
 	r := b.r
 	g := r.cfg.Model
@@ -247,6 +270,13 @@ func (b *schedBuilder) compileDDP() {
 	b.gpuAdam(g.Params())
 }
 
+// compileMegatron: tensor-model parallelism of degree = world size, with MP
+// gradient-accumulation microbatches per iteration so the global batch
+// matches the data-parallel runs — visible in Fig 5 as Megatron-LM's four
+// forward/backward pairs. Every layer runs its GEMMs on 1/MP of the work and
+// synchronizes activations with two all-reduces in forward and two in
+// backward — the communication the paper identifies as Megatron-LM's
+// dual-node downfall.
 func (b *schedBuilder) compileMegatron() {
 	r := b.r
 	g := r.cfg.Model
@@ -281,6 +311,10 @@ func (b *schedBuilder) compileMegatron() {
 	b.gpuAdam(g.Params() / int64(mp))
 }
 
+// compileZeRO1: DDP-like compute with activation checkpointing; optimizer
+// states are partitioned, so the gradient synchronization becomes an exposed
+// reduce-scatter + parameter all-gather at the end of the step, rate-limited
+// when GPU headroom starves the fused buffers (the Table V ZeRO-1 drop).
 func (b *schedBuilder) compileZeRO1() {
 	r := b.r
 	g := r.cfg.Model
@@ -302,6 +336,11 @@ func (b *schedBuilder) compileZeRO1() {
 	b.z1Collective(collective.AllGather, r.paramBytes)
 }
 
+// compileZeRO2: gradients are reduce-scattered per bucket, overlapped with
+// the backward pass on a single node; across nodes DeepSpeed 0.7.1's overlap
+// is ineffective over RoCE (the paper's Fig 10 shows distinct communication
+// phases), so the reduce-scatter runs exposed after backward. The optimizer
+// updates the local partition, then parameters are all-gathered.
 func (b *schedBuilder) compileZeRO2() {
 	r := b.r
 	g := r.cfg.Model
@@ -335,6 +374,10 @@ func (b *schedBuilder) compileZeRO2() {
 	b.sync(collective.AllGather, r.paramBytes, 0, 1)
 }
 
+// compileZeRO3: parameters live sharded. Forward and backward gather each
+// layer group's parameters just in time (prefetched one group ahead on the
+// comm stream); backward additionally reduce-scatters each group's
+// gradients.
 func (b *schedBuilder) compileZeRO3() {
 	r := b.r
 	g := r.cfg.Model
@@ -406,6 +449,8 @@ func (b *schedBuilder) compileZeRO3() {
 	b.optimizer()
 }
 
+// compileMegatronHybrid lowers one iteration of TP×PP hybrid model
+// parallelism (see hybrid.go).
 func (b *schedBuilder) compileMegatronHybrid() {
 	r := b.r
 	g := r.cfg.Model

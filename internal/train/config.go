@@ -113,9 +113,8 @@ type Config struct {
 	// mid-run events (e.g. cluster.Eng.Schedule + cluster.Net.SetCapacity)
 	// for resilience studies.
 	FaultInjection func(c *topology.Cluster)
-	// Rewrite applies a schedule-level ablation (see Rewrite). Non-zero
-	// values force the compiled-schedule execution path regardless of the
-	// CompiledSchedules toggle.
+	// Rewrite applies a schedule-level ablation (see Rewrite) to the
+	// compiled iteration program.
 	Rewrite Rewrite
 	// Shards > 1 runs the simulation on a sharded engine (sim.ShardedEngine,
 	// gated by sim.Sharded), <= 1 on the plain serial engine. On the testbed
@@ -322,12 +321,10 @@ func (c Config) Name() string {
 		label += fmt.Sprintf(" (%d×NVMe opt+param)", len(c.Placement.Drives))
 	}
 	if c.IsDC() {
-		// The algorithm label reflects what actually runs: with the
-		// Hierarchical toggle off, every algorithm degrades to the flat twin
-		// and the run is byte-identical to an explicit -algo=flat run.
+		// Aliases ("hier", "ring") print under their canonical name.
 		algo := c.Algo
 		if parsed, err := collective.ParseAlgo(c.Algo); err == nil {
-			algo = collective.EffectiveAlgo(parsed).String()
+			algo = parsed.String()
 		}
 		if dc, err := topology.ParseTopoSpec(c.Topo); err == nil {
 			label += fmt.Sprintf(" @%s/%s", dc.Spec(), algo)

@@ -45,7 +45,7 @@ func runDC(cfg Config) (*Result, error) {
 		shards = 1
 	}
 	var sc *topology.DCShardedCluster
-	if collective.EffectiveAlgo(algo) == collective.AlgoFlat {
+	if algo == collective.AlgoFlat {
 		sc, err = topology.NewDCColocated(dcCfg, shards)
 	} else {
 		sc, err = topology.NewDCSharded(dcCfg, shards)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"llmbw/internal/collective"
 	"llmbw/internal/fabric"
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
@@ -96,22 +95,6 @@ func TestDCShardedMatchesUnsharded(t *testing.T) {
 						strategy, algo, m.name, got, plain)
 				}
 			}
-		}
-	}
-}
-
-// TestDCHierarchicalToggle: with collective.Hierarchical off, a 2-level run
-// must be byte-identical to the flat twin.
-func TestDCHierarchicalToggle(t *testing.T) {
-	cfg := dcBase(ZeRO1)
-	cfg.Algo = "flat"
-	flat := runSharded(t, cfg, 0, false)
-	defer func(h bool) { collective.Hierarchical = h }(collective.Hierarchical)
-	collective.Hierarchical = false
-	for _, algo := range []string{"2level", "multiring"} {
-		cfg.Algo = algo
-		if got := runSharded(t, cfg, 0, false); !bytes.Equal(flat, got) {
-			t.Errorf("toggle-off %s differs from flat twin:\n%s\nvs\n%s", algo, got, flat)
 		}
 	}
 }

@@ -19,9 +19,12 @@ import (
 // concrete flow/NVMe constructors the pooled flow sets are built from — so
 // cached schedules stay pure data shared across runs.
 
-// runCompiled executes one iteration through the compiled schedule, building
-// the schedule and executor on first use.
-func (r *Runner) runCompiled(p *sim.Proc) {
+// runIteration executes one training step of the configured strategy by
+// replaying its compiled schedule, building the schedule and executor on
+// first use. Ranks run in lockstep (the workload is SPMD-symmetric), so one
+// driver process advances the shared program while flows and collectives
+// contend on the fabric.
+func (r *Runner) runIteration(p *sim.Proc) {
 	if r.exec == nil {
 		r.exec = schedule.NewExecutor(trainEnv{r}, r.iterationSchedule())
 		r.waiter = sim.NewWaiter(p)
@@ -50,8 +53,8 @@ func (e trainEnv) TraceOp(op *schedule.Op, start, end sim.Time) {
 	}
 }
 
-// FlowBuilder maps each flow-set op to the legacy strategy's flow
-// constructor; the builder runs only on a pool miss.
+// FlowBuilder maps each flow-set op to its flow constructor; the builder runs
+// only on a pool miss.
 func (e trainEnv) FlowBuilder(op *schedule.Op) func() []*fabric.Flow {
 	switch op.Kind {
 	case schedule.OpFlows:
@@ -81,7 +84,10 @@ func (e trainEnv) NVMeTargets() []schedule.NVMeTarget {
 
 // ---- flow builders (run only on a pool miss) ----
 
-// stageBatchFlowsFn mirrors stageBatch's dataloader staging set.
+// stageBatchFlowsFn builds the dataloader's host→GPU staging traffic for the
+// next micro-batch on every rank: tokenized input ids plus shifted labels
+// (internal/data's packing), prefetched asynchronously the way PyTorch
+// dataloaders overlap H2D copies with compute.
 func (r *Runner) stageBatchFlowsFn() func() []*fabric.Flow {
 	bytes := data.BatchStagingBytes(r.cfg.BatchPerGPU, r.cfg.Model.SeqLen)
 	return func() []*fabric.Flow {
@@ -94,7 +100,8 @@ func (r *Runner) stageBatchFlowsFn() func() []*fabric.Flow {
 	}
 }
 
-// offloadFlowsFn mirrors offloadCopy's per-rank staging pair.
+// offloadFlowsFn builds the per-rank GPU↔host staging pair of an offload copy
+// (see offloadCopyFlows).
 func (r *Runner) offloadFlowsFn(bytesPerRank float64) func() []*fabric.Flow {
 	mk := r.offloadCopyFlows(bytesPerRank)
 	return func() []*fabric.Flow {
@@ -106,7 +113,10 @@ func (r *Runner) offloadFlowsFn(bytesPerRank float64) func() []*fabric.Flow {
 	}
 }
 
-// adamFlowsFn mirrors hostAdam's paced per-socket DRAM/xGMI traffic.
+// adamFlowsFn builds the DRAM traffic of DeepSpeed's CPUAdam step over
+// duration d. Both sockets work concurrently, two ranks each; the traffic is
+// paced over the step, with a slice crossing xGMI for the interleaved
+// allocations of offloaded states.
 func (r *Runner) adamFlowsFn(paramsPerRank int64, d sim.Time) func() []*fabric.Flow {
 	sec := d.ToSeconds()
 	perSocket := 2 * compute.AdamDRAMTraffic(paramsPerRank) // two ranks per socket
@@ -135,7 +145,8 @@ func (r *Runner) adamFlowsFn(paramsPerRank int64, d sim.Time) func() []*fabric.F
 	}
 }
 
-// boundaryFlowsFn mirrors sendBoundaries' inter-stage activation transfers.
+// boundaryFlowsFn builds one pipeline slot's inter-stage activation
+// transfers, one flow per stage boundary.
 func boundaryFlowsFn(routes []topology.Route, bytes float64) func() []*fabric.Flow {
 	return func() []*fabric.Flow {
 		var flows []*fabric.Flow

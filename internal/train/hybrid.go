@@ -1,12 +1,8 @@
 package train
 
 import (
-	"fmt"
-
 	"llmbw/internal/collective"
-	"llmbw/internal/sim"
 	"llmbw/internal/topology"
-	"llmbw/internal/trace"
 )
 
 // Hybrid tensor+pipeline parallelism. The paper's Megatron-LM runs are
@@ -23,7 +19,9 @@ import (
 // (M + PP − 1) forward slots followed by (M + PP − 1) backward slots. Every
 // slot executes one stage-worth of layers on each active stage (lockstep —
 // stages are uniform) with that stage's tensor-parallel all-reduces, plus the
-// boundary activation sends between adjacent stages.
+// boundary activation sends between adjacent stages. compileMegatronHybrid
+// lowers that schedule; the helpers below build its stage groups and
+// boundary routes.
 
 // stageGroups builds the TP collective group of every pipeline stage.
 func (r *Runner) stageGroups(tp, pp int) []*collective.Group {
@@ -50,105 +48,4 @@ func (r *Runner) stageBoundaryRoutes(tp, pp int) []topology.Route {
 		}
 	}
 	return routes
-}
-
-// allStageAllReduce runs one tensor-parallel all-reduce concurrently on every
-// stage's TP group (the groups are disjoint) and blocks until all complete.
-func (r *Runner) allStageAllReduce(p *sim.Proc, groups []*collective.Group, payload float64) {
-	if len(groups) == 1 {
-		r.syncCollectiveOn(p, groups[0], collective.AllReduce, payload)
-		return
-	}
-	start := p.Now()
-	p.Await(func(resume func()) {
-		remaining := len(groups)
-		for _, g := range groups {
-			g.StartRings(collective.AllReduce, payload, 0, 2, func() {
-				remaining--
-				if remaining == 0 {
-					resume()
-				}
-			})
-		}
-	})
-	r.traceAll(trace.NCCLAllReduce, start, p.Now())
-}
-
-// syncCollectiveOn is syncCollective for an arbitrary group.
-func (r *Runner) syncCollectiveOn(p *sim.Proc, g *collective.Group, op collective.Op, payload float64) {
-	start := p.Now()
-	p.Await(func(resume func()) { g.StartRings(op, payload, 0, 2, resume) })
-	r.traceAll(traceKind(op), start, p.Now())
-}
-
-// sendBoundaries fires the inter-stage activation transfers for one pipeline
-// slot and blocks until the slowest completes.
-func (r *Runner) sendBoundaries(p *sim.Proc, routes []topology.Route, bytes float64) {
-	if len(routes) == 0 || bytes <= 0 {
-		return
-	}
-	start := p.Now()
-	p.Await(func(resume func()) {
-		flows := r.flowScratch[:0]
-		for i, rt := range routes {
-			flows = append(flows, rt.Flow(fmt.Sprintf("pp-act/%d", i), bytes))
-		}
-		r.flowScratch = flows
-		remaining := len(flows)
-		r.cluster.Net.StartFlows(flows, func() {
-			remaining--
-			if remaining == 0 {
-				resume()
-			}
-		})
-	})
-	r.traceAll(trace.OffloadCopy, start, p.Now())
-}
-
-// iterMegatronHybrid runs one iteration of TP×PP hybrid model parallelism.
-func (r *Runner) iterMegatronHybrid(p *sim.Proc) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	tp, pp := r.cfg.TensorParallel, r.cfg.PipelineParallel
-	world := r.cfg.WorldSize()
-	micro := world // gradient-accumulation microbatches, as in iterMegatron
-
-	groups := r.stageGroups(tp, pp)
-	boundaries := r.stageBoundaryRoutes(tp, pp)
-	actBytes := float64(b) * float64(g.SeqLen) * float64(g.Hidden) * 2
-
-	layersPerStage := (g.Layers + pp - 1) / pp
-	layerF := g.LayerForwardFLOPs(b) / float64(tp)
-
-	// One pipeline slot: every active stage runs its layers with TP
-	// all-reduces, then activations hop to the next stage.
-	slot := func(backward bool) {
-		mult := 1.0
-		if backward {
-			mult = 2
-		}
-		for l := 0; l < layersPerStage; l++ {
-			r.computeSpan(p, trace.Gemm, mult*layerF)
-			if tp > 1 {
-				r.allStageAllReduce(p, groups, actBytes)
-				r.allStageAllReduce(p, groups, actBytes)
-			}
-		}
-		r.sendBoundaries(p, boundaries, actBytes*float64(tp))
-	}
-
-	// Coarse activation accounting: one full set of layer activations is
-	// resident at steady state (per-stage slices × in-flight microbatches).
-	actResident := float64(g.Layers)*r.layerActivationBytes() + r.headActivationBytes()
-	r.mem.alloc(actResident)
-	fwdSlots := micro + pp - 1
-	for s := 0; s < fwdSlots; s++ {
-		slot(false)
-	}
-	r.computeSpan(p, trace.Gemm, 3*g.HeadForwardFLOPs(b)/float64(tp))
-	for s := 0; s < fwdSlots; s++ {
-		slot(true)
-	}
-	r.mem.free(actResident)
-	r.gpuAdam(p, g.Params()/int64(tp*pp))
 }

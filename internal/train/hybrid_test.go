@@ -65,8 +65,8 @@ func TestHybridEquivalentToPureWhenPP1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// PP=1 goes through iterMegatron (the dispatcher checks PP>1), so this
-	// asserts the dispatcher wiring rather than numerical coincidence.
+	// PP=1 compiles through compileMegatron (the dispatcher checks PP>1), so
+	// this asserts the dispatcher wiring rather than numerical coincidence.
 	viaFields, err := Run(Config{Strategy: Megatron, TensorParallel: 4, PipelineParallel: 1,
 		Model: g, Iterations: 2, Warmup: 1})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"llmbw/internal/collective"
 	"llmbw/internal/compute"
-	"llmbw/internal/data"
 	"llmbw/internal/fabric"
 	"llmbw/internal/memory"
 	"llmbw/internal/nvme"
@@ -105,12 +104,13 @@ type Runner struct {
 	gradBytes  float64 // 2Ψ FP16 gradients
 	paramBytes float64 // 2Ψ FP16 parameters
 
-	// flowScratch collects per-rank flows for batched admission; StartFlows
-	// does not retain the slice, so one buffer serves every call site.
+	// flowScratch collects startRankFlows' per-rank flows for batched
+	// admission; StartFlows does not retain the slice, so one buffer serves
+	// every call.
 	flowScratch []*fabric.Flow
 
 	// exec/waiter are the compiled-schedule replay state, built lazily on the
-	// first iteration of the CompiledSchedules path and reused thereafter.
+	// first iteration and reused thereafter.
 	exec   *schedule.Executor
 	waiter *sim.Waiter
 }
@@ -291,23 +291,14 @@ func Run(cfg Config) (*Result, error) {
 // and the stress/bench harnesses).
 func (r *Runner) Cluster() *topology.Cluster { return r.cluster }
 
-// ---- schedule building blocks ----
+// ---- start-up and checkpoint building blocks ----
 
-// computeSpan runs a GPU kernel span on every rank in lockstep.
-func (r *Runner) computeSpan(p *sim.Proc, kind trace.Kind, flops float64) {
-	d := r.gpu.KernelTime(flops)
-	start := p.Now()
-	p.Sleep(d)
-	r.traceAll(kind, start, p.Now())
-}
+// Training iterations run as compiled schedules (compile.go, executor.go);
+// the blocking helpers below serve the work outside them: parameter
+// initialization before warm-up and checkpoint writes between iterations.
 
-// idleSpan marks time where GPUs wait on host-side work.
-func (r *Runner) idleSpan(p *sim.Proc, kind trace.Kind, d sim.Time) {
-	start := p.Now()
-	p.Sleep(d)
-	r.traceAll(kind, start, p.Now())
-}
-
+// traceAll records one span on every rank's timeline. These spans carry no
+// iteration phase: they fall outside the compiled iteration program.
 func (r *Runner) traceAll(kind trace.Kind, start, end sim.Time) {
 	if !r.tr.Enabled() {
 		return
@@ -320,116 +311,10 @@ func (r *Runner) traceAll(kind trace.Kind, start, end sim.Time) {
 // syncCollective runs a collective on the world group, blocking the
 // schedule (exposed communication). rings selects the NCCL channel count:
 // 2 for fused framework collectives, 1 for DeepSpeed's partitioned phases.
-func (r *Runner) syncCollective(p *sim.Proc, op collective.Op, payload, limit float64, rings int) {
+func (r *Runner) syncCollective(p *sim.Proc, op collective.Op, payload float64, rings int) {
 	start := p.Now()
-	p.Await(func(resume func()) { r.world.StartRings(op, payload, limit, rings, resume) })
-	r.traceAll(traceKind(op), start, p.Now())
-}
-
-func traceKind(op collective.Op) trace.Kind {
-	switch op {
-	case collective.AllReduce:
-		return trace.NCCLAllReduce
-	case collective.AllGather:
-		return trace.NCCLAllGather
-	case collective.ReduceScatter:
-		return trace.NCCLReduceScatter
-	case collective.Reduce:
-		return trace.NCCLReduce
-	case collective.Broadcast:
-		return trace.NCCLBroadcast
-	}
-	return trace.NCCLAllReduce
-}
-
-// commQueue serializes asynchronous collectives on a virtual NCCL stream so
-// they overlap compute but not each other. Handles are drawn from the world
-// group's pool: a fire-and-forget handle recycles itself once a later
-// operation supersedes it and its waiters have run; retained handles
-// (enqueueHandle) are the caller's to release.
-type commQueue struct {
-	r        *Runner
-	limit    float64
-	rings    int
-	tail     *collective.Handle
-	tailAuto bool // tail came from enqueue/enqueueFn, not enqueueHandle
-}
-
-func (r *Runner) newQueue(limit float64, rings int) *commQueue {
-	return &commQueue{r: r, limit: limit, rings: rings}
-}
-
-// enqueue chains a fire-and-forget collective after the previous operation;
-// its pooled handle recycles automatically.
-func (q *commQueue) enqueue(op collective.Op, payload float64) {
-	q.push(op, payload, false) //lint:allow handle-release — fire-and-forget: push retains the handle as q.tail and the successor's start releases it
-}
-
-// enqueueHandle chains a collective and returns its handle for the caller to
-// wait on. Callers return the handle to the pool with q.release once done
-// with it.
-func (q *commQueue) enqueueHandle(op collective.Op, payload float64) *collective.Handle {
-	return q.push(op, payload, true)
-}
-
-func (q *commQueue) push(op collective.Op, payload float64, retained bool) *collective.Handle {
-	h := q.r.world.NewHandle()
-	prev, prevAuto := q.tail, q.tailAuto
-	start := func() {
-		t0 := q.r.cluster.Eng.Now()
-		q.r.world.StartRings(op, payload, q.limit, q.rings, func() {
-			q.r.traceAll(traceKind(op), t0, q.r.cluster.Eng.Now())
-			h.Fire()
-		})
-		// prev has now served its last purpose (ordering this start); a
-		// fire-and-forget predecessor goes back to the pool.
-		if prevAuto {
-			prev.Release()
-		}
-	}
-	if prev == nil {
-		start()
-	} else {
-		prev.Then(start)
-	}
-	q.tail, q.tailAuto = h, !retained
-	return h
-}
-
-// enqueueFn chains an arbitrary deferred operation (e.g. an offload copy)
-// onto the stream. fn must eventually call its done callback.
-func (q *commQueue) enqueueFn(fn func(done func())) *collective.Handle {
-	h := q.r.world.NewHandle()
-	prev, prevAuto := q.tail, q.tailAuto
-	start := func() {
-		fn(h.Fire)
-		if prevAuto {
-			prev.Release()
-		}
-	}
-	if prev == nil {
-		start()
-	} else {
-		prev.Then(start)
-	}
-	q.tail, q.tailAuto = h, true
-	return h
-}
-
-// release returns a retained handle to the pool. The current tail stays
-// live — later operations still chain on it — and recycles when superseded.
-func (q *commQueue) release(h *collective.Handle) {
-	if h != q.tail {
-		h.Release()
-	}
-}
-
-// drain blocks until every queued operation has completed.
-func (q *commQueue) drain(p *sim.Proc) {
-	if q.tail == nil {
-		return
-	}
-	q.tail.Wait(p)
+	p.Await(func(resume func()) { r.world.StartRings(op, payload, 0, rings, resume) })
+	r.traceAll(schedule.TraceKind(op), start, p.Now())
 }
 
 // eachGPU enumerates the cluster's GPUs with their global rank.
@@ -466,10 +351,10 @@ func (r *Runner) startRankFlows(kind trace.Kind, mk func(rank int, g topology.GP
 	})
 }
 
-// offloadCopy moves bytesPerRank between every GPU and host memory. Half the
-// staging lands on the GPU's local socket, half on the neighbour (DeepSpeed's
-// pinned buffers are not NUMA-aware), which is what puts offload traffic on
-// xGMI in the paper's Table IV.
+// offloadCopyFlows moves bytesPerRank between every GPU and host memory.
+// Half the staging lands on the GPU's local socket, half on the neighbour
+// (DeepSpeed's pinned buffers are not NUMA-aware), which is what puts offload
+// traffic on xGMI in the paper's Table IV.
 func (r *Runner) offloadCopyFlows(bytesPerRank float64) func(rank int, g topology.GPU) []*fabric.Flow {
 	return func(rank int, g topology.GPU) []*fabric.Flow {
 		local := r.cluster.GPUToCPU(g, g.Socket())
@@ -486,72 +371,6 @@ func (r *Runner) offloadCopy(p *sim.Proc, bytesPerRank float64) {
 	p.Await(func(resume func()) {
 		r.startRankFlows(trace.OffloadCopy, r.offloadCopyFlows(bytesPerRank), resume)
 	})
-}
-
-// hostAdam runs the DeepSpeed CPUAdam step for each rank's partition on its
-// socket. Both sockets work concurrently, two ranks each; the step's DRAM
-// traffic is paced over the step duration, with a slice crossing xGMI for
-// the interleaved allocations.
-func (r *Runner) hostAdam(p *sim.Proc, paramsPerRank int64) {
-	d := r.cpu.AdamTime(paramsPerRank, 2)
-	if d <= 0 {
-		return
-	}
-	sec := d.ToSeconds()
-	perSocket := 2 * compute.AdamDRAMTraffic(paramsPerRank) // two ranks per socket
-	flows := r.flowScratch[:0]
-	for s := 0; s < topology.SocketsPerNode; s++ {
-		localBytes := perSocket * (1 - adamCrossFrac)
-		crossBytes := perSocket * adamCrossFrac
-		flows = append(flows,
-			&fabric.Flow{
-				Name:      fmt.Sprintf("cpuadam/s%d/local", s),
-				Path:      []*fabric.Link{r.cluster.DRAMLink(0, s)},
-				Bytes:     localBytes,
-				RateLimit: localBytes / sec,
-			},
-			&fabric.Flow{
-				Name: fmt.Sprintf("cpuadam/s%d/cross", s),
-				Path: []*fabric.Link{
-					r.cluster.XGMILink(0), r.cluster.DRAMLink(0, 1-s),
-				},
-				Bytes:     crossBytes,
-				RateLimit: crossBytes / sec,
-			})
-	}
-	r.flowScratch = flows
-	r.cluster.Net.StartFlows(flows, nil)
-	r.idleSpan(p, trace.CPUAdam, d)
-}
-
-// nvmeIO performs a staged NVMe transfer for every rank against its mapped
-// volume, blocking until the slowest rank finishes.
-func (r *Runner) nvmeIO(p *sim.Proc, bytesPerRank float64, write bool) {
-	if bytesPerRank <= 0 {
-		return
-	}
-	t0 := p.Now()
-	p.Await(func(resume func()) {
-		remaining := r.cfg.WorldSize()
-		r.eachGPU(func(rank int, g topology.GPU) {
-			vol := r.cfg.Placement.VolumeForRank(r.vols, rank)
-			vol.IO(g.Socket(), bytesPerRank, write, func() {
-				remaining--
-				if remaining == 0 {
-					resume()
-				}
-			})
-		})
-	})
-	r.traceAll(trace.NVMeIO, t0, p.Now())
-}
-
-// gpuAdam runs the on-GPU fused optimizer step.
-func (r *Runner) gpuAdam(p *sim.Proc, paramsPerRank int64) {
-	d := r.gpu.AdamTime(paramsPerRank)
-	start := p.Now()
-	p.Sleep(d)
-	r.traceAll(trace.WeightUpdate, start, p.Now())
 }
 
 // writeCheckpoint persists the full training state to the scratch volume:
@@ -577,21 +396,6 @@ func (r *Runner) writeCheckpoint(p *sim.Proc) {
 	r.traceAll(trace.NVMeIO, t0, p.Now())
 }
 
-// stageBatch emits the dataloader's host→GPU staging traffic for the next
-// micro-batch on every rank: tokenized input ids plus shifted labels
-// (internal/data's packing), prefetched asynchronously the way PyTorch
-// dataloaders overlap H2D copies with compute.
-func (r *Runner) stageBatch() {
-	bytes := data.BatchStagingBytes(r.cfg.BatchPerGPU, r.cfg.Model.SeqLen)
-	flows := r.flowScratch[:0]
-	r.eachGPU(func(rank int, g topology.GPU) {
-		route := r.cluster.GPUToCPU(g, g.Socket())
-		flows = append(flows, route.Flow(fmt.Sprintf("dataloader/r%d", rank), bytes))
-	})
-	r.flowScratch = flows
-	r.cluster.Net.StartFlows(flows, nil)
-}
-
 // initializeParameters models job start-up: rank 0 materializes the weights
 // and replicates them — a broadcast of the FP16 parameters for replicated
 // strategies (PyTorch DDP broadcasts module buffers at construction;
@@ -607,9 +411,9 @@ func (r *Runner) initializeParameters(p *sim.Proc) {
 	case r.prof.ParamShards > 1:
 		// Sharded parameters: rank 0 scatters shards (ring reduce-scatter
 		// volume equivalent).
-		r.syncCollective(p, collective.ReduceScatter, r.paramBytes, 0, 1)
+		r.syncCollective(p, collective.ReduceScatter, r.paramBytes, 1)
 	default:
-		r.syncCollective(p, collective.Broadcast, r.paramBytes, 0, 2)
+		r.syncCollective(p, collective.Broadcast, r.paramBytes, 2)
 	}
 }
 
@@ -634,21 +438,4 @@ func (r *Runner) z1ChunkBytes() float64 {
 		return z1MinChunkBytes
 	}
 	return headroom
-}
-
-// z1Collective runs a ZeRO-1 end-of-step collective in serial fused-buffer
-// chunks, paying a relaunch latency per chunk. At comfortable headroom this
-// is a handful of chunks; at the memory limit it degenerates into many
-// small latency-bound operations while still driving NVLink hard.
-func (r *Runner) z1Collective(p *sim.Proc, op collective.Op, payload float64) {
-	chunk := r.z1ChunkBytes()
-	for payload > 0 {
-		sz := payload
-		if sz > chunk {
-			sz = chunk
-		}
-		r.syncCollective(p, op, sz, 0, 1)
-		p.Sleep(z1ChunkLatency)
-		payload -= sz
-	}
 }

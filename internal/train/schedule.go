@@ -2,22 +2,15 @@ package train
 
 import "llmbw/internal/schedule"
 
-// CompiledSchedules selects the iteration execution path: true (the default)
-// compiles each strategy's per-iteration program into a schedule.Schedule —
-// a typed op list with explicit stream dependencies and phase tags — once,
-// and replays it every iteration through the shared internal/schedule
-// executor with pooled flows, handles and collective plans, so steady-state
-// iterations allocate nothing; false runs the original imperative
-// coroutines. The two paths are byte-identical in simulation outcome (pinned
-// by the determinism matrix in schedule_test.go/determinism_test.go); the
-// knob exists so those tests can compare them. It must not be toggled while
-// a simulation is running.
-var CompiledSchedules = true
-
-// The schedule IR itself — the op vocabulary, rewrites and the executor —
-// lives in internal/schedule since PR 10; train's per-strategy compilers
-// (compile.go) are one client of it. The rewrite vocabulary is re-exported
-// here so Config.Rewrite call sites keep reading train.RewriteSerializeComm.
+// Every training iteration runs as a compiled schedule.Schedule: a typed op
+// list with explicit stream dependencies and phase tags, lowered once per
+// configuration and replayed every iteration through the shared
+// internal/schedule executor with pooled flows, handles and collective plans,
+// so steady-state iterations allocate nothing. The schedule IR itself — the
+// op vocabulary, rewrites and the executor — lives in internal/schedule;
+// train's per-strategy compilers (compile.go) are one client of it. The
+// rewrite vocabulary is re-exported here so Config.Rewrite call sites keep
+// reading train.RewriteSerializeComm.
 
 // Rewrite selects a schedule-level ablation applied after compilation; see
 // schedule.Rewrite.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"llmbw/internal/collective"
-	"llmbw/internal/fabric"
 	"llmbw/internal/model"
 	"llmbw/internal/sim"
 )
@@ -59,29 +57,31 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesAcrossFastPaths crosses the sharded toggle with the full
-// existing fast-path matrix (compiled plans × batched admission × compiled
-// schedules) on the multi-node ZeRO-3 shape: sharding must be byte-identical
-// to the plain engine in every one of the 8 combinations.
+// TestShardedMatchesAcrossFastPaths holds the multi-node ZeRO-3 shape, on
+// the plain engine and on the sharded engine in serial merge and under
+// parallel windows, to its schedule_shapes.golden section. That section was
+// recorded while the sharded engine matched the plain one in every
+// combination of the fast paths and the rebuild-per-issue, per-flow-admission
+// and imperative-coroutine paths they replaced; those paths are retired, and
+// the recording is what remains of them.
 func TestShardedMatchesAcrossFastPaths(t *testing.T) {
-	cfg := Config{Strategy: ZeRO3, Model: model.NewGPT(8), Iterations: 2, Warmup: 1, Nodes: 2}
-	for _, plans := range []bool{false, true} {
-		for _, batch := range []bool{false, true} {
-			for _, ir := range []bool{false, true} {
-				func() {
-					defer func(p, b, s bool) {
-						collective.CompiledPlans, fabric.BatchAdmission, CompiledSchedules = p, b, s
-					}(collective.CompiledPlans, fabric.BatchAdmission, CompiledSchedules)
-					collective.CompiledPlans, fabric.BatchAdmission, CompiledSchedules = plans, batch, ir
-					plain := runSharded(t, cfg, 0, false)
-					sharded := runSharded(t, cfg, 4, true)
-					if !bytes.Equal(plain, sharded) {
-						t.Errorf("plans=%v batch=%v ir=%v: sharded summary differs from plain",
-							plans, batch, ir)
-					}
-				}()
-			}
-		}
+	cfg := Config{Strategy: ZeRO3, Model: model.NewGPT(8), Iterations: 2, Warmup: 1, Nodes: 2, Trace: true}
+	want := goldenShape(t, "zero3-dual")
+	for _, m := range []struct {
+		name     string
+		shards   int
+		parallel bool
+	}{
+		{"plain", 0, false},
+		{"shards=2 serial-merge", 2, false},
+		{"shards=4 parallel", 4, true},
+	} {
+		func() {
+			defer func(s bool) { sim.Sharded = s }(sim.Sharded)
+			sim.Sharded = m.parallel
+			cfg.Shards = m.shards
+			matchShape(t, "zero3-dual "+m.name, renderShape(t, "zero3-dual", cfg), want)
+		}()
 	}
 }
 

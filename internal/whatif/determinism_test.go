@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"llmbw/internal/collective"
-	"llmbw/internal/fabric"
 	"llmbw/internal/sim"
 )
 
@@ -31,37 +29,6 @@ func TestXbarScenarioKeysComplete(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("scenario key mismatch: map has %q, display list has %q", got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestXbarReportStableAcrossIssuePaths renders the crossbar ablation under
-// every combination of the collective plan-reuse and batched-admission
-// toggles and requires identical bytes: the what-if studies must be blind to
-// which issue machinery produced them.
-func TestXbarReportStableAcrossIssuePaths(t *testing.T) {
-	render := func(plans, batch bool) []byte {
-		defer func(p, b bool) {
-			collective.CompiledPlans, fabric.BatchAdmission = p, b
-		}(collective.CompiledPlans, fabric.BatchAdmission)
-		collective.CompiledPlans, fabric.BatchAdmission = plans, batch
-		var buf bytes.Buffer
-		if err := XbarReport(&buf, 100*sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fast := render(true, true)
-	for _, m := range []struct {
-		name         string
-		plans, batch bool
-	}{
-		{"legacy", false, false},
-		{"plans-only", true, false},
-		{"batch-only", false, true},
-	} {
-		if got := render(m.plans, m.batch); !bytes.Equal(fast, got) {
-			t.Errorf("%s report differs from fast path:\n%s\n----\n%s", m.name, fast, got)
 		}
 	}
 }

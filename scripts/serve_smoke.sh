@@ -7,10 +7,21 @@
 set -eu
 
 ADDR="127.0.0.1:18080"
-go build -o /tmp/servesim ./cmd/servesim
-/tmp/servesim -addr "$ADDR" -parallel 2 -drain 5s &
+# A daemon left on the fixed port would answer every query below while ours
+# fails to bind, so refuse to start rather than probe the wrong process.
+if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
+	echo "serve-smoke: something already answers on $ADDR; stop it first" >&2
+	exit 1
+fi
+BIN="${TMPDIR:-/tmp}/servesim"
+go build -o "$BIN" ./cmd/servesim
+"$BIN" -addr "$ADDR" -parallel 2 -drain 5s &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
+# dash skips the EXIT trap when a signal kills the shell; turning INT, TERM
+# and HUP into an ordinary exit makes it run, so an interrupted smoke still
+# stops its daemon.
+trap 'exit 1' INT TERM HUP
 
 # Wait for the listener (up to ~5s).
 i=0
