@@ -2,18 +2,23 @@ GO ?= go
 # FUZZTIME bounds each fuzz target in fuzz-smoke; CI's nightly job raises it.
 FUZZTIME ?= 10s
 
-.PHONY: check test build vet lint lint-baseline lint-report race fuzz-smoke bench serve-smoke clean
+.PHONY: check test build vet fmt lint lint-baseline lint-report race fuzz-smoke bench serve-smoke clean
 
-## check: the full correctness gate — vet, build, the simlint determinism &
-## invariant analysis, the race-enabled test suite, and a short fuzz smoke of
-## the fabric fair-share property suite.
-check: vet build lint race fuzz-smoke
+## check: the full correctness gate — gofmt, vet, build, the simlint
+## determinism & invariant analysis, the race-enabled test suite, and a short
+## fuzz smoke of the fabric fair-share property suite and the -topo parser.
+check: fmt vet build lint race fuzz-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+## fmt: fail when any Go file outside _bench/ is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l cmd internal examples *.go); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## lint: run the repository's static determinism/invariant analysis
 ## (includes the inter-procedural handle-release / capepoch-guard /
@@ -39,11 +44,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz-smoke: run every fuzz target in internal/fabric for FUZZTIME each.
+## fuzz-smoke: run every fuzz target in internal/fabric and internal/topology
+## for FUZZTIME each.
 fuzz-smoke:
-	@set -e; for f in $$($(GO) test -list '^Fuzz' ./internal/fabric | grep '^Fuzz'); do \
-		echo "fuzz-smoke: $$f for $(FUZZTIME)"; \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/fabric; \
+	@set -e; for pkg in ./internal/fabric ./internal/topology; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$pkg $$f for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
 	done
 
 ## bench: run the hot-path benchmarks and record machine-readable results —
@@ -52,14 +60,15 @@ fuzz-smoke:
 ## compiled-schedule iteration replay benchmark (pinned at zero steady-state
 ## allocations) in BENCH_train.json,
 ## and the sharded-engine serial-vs-parallel steady-state scaling grid
-## (1/2/4 shards at 2/8/16 nodes) in BENCH_sim.json, and the datacenter-
-## collective grid (flat vs 2-level vs multi-ring × 16/64/256 nodes ×
-## 1/4/8 shards, with allocs/op pinning the zero-alloc replay) in
-## BENCH_topo.json, and the serving-layer cold-vs-warm request benchmark
-## (cache miss re-simulates a 64-node fat-tree; cache hit replays the
-## memoized result, with the warm probe pinned at 0 allocs/op) together
-## with the inference decode-step replay benchmark (ServeDecodeSteady,
-## the serving layer's zero-alloc steady loop) in BENCH_serve.json.
+## (1/2/4 shards at 2/8/16 nodes of a one-node-pod fat-tree) in
+## BENCH_sim.json, and the datacenter-collective grid (flat on 1 shard,
+## 2-level and multi-ring on 1/4/8 shards, × 16/64/256 nodes, with
+## allocs/op pinning the zero-alloc replay) in BENCH_topo.json, and the
+## serving-layer cold-vs-warm request benchmark (cache miss re-simulates a
+## 64-node fat-tree; cache hit replays the memoized result, with the warm
+## probe pinned at 0 allocs/op) together with the inference decode-step
+## replay benchmark (ServeDecodeSteady, the serving layer's zero-alloc
+## steady loop) in BENCH_serve.json.
 bench:
 	$(GO) test -run '^$$' -bench 'FabricFairShare|SimEngineEvents|CollectiveAllReduce' -benchmem -json . > BENCH_fabric.json
 	$(GO) test -run '^$$' -bench 'CollectiveReplaySteady' -benchmem -json . > BENCH_collective.json

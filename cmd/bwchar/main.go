@@ -57,7 +57,7 @@ func main() {
 	stressSeconds := flag.Float64("stress-seconds", 10, "simulated duration of bandwidth stress kernels")
 	artifacts := flag.String("artifacts", "", "directory for machine-readable artifacts (Chrome traces, CSV series)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently; 1 runs serially")
-	shards := flag.Int("shards", 0, "simulation shards per training run; <=1 runs each simulation serially")
+	shards := flag.Int("shards", 0, "simulation shards per training run, clamped to the fabric's partitions: 1 on the testbed, up to the pod count on a generated fabric")
 	topo := flag.String("topo", "", `extra fabric spec for the datacenter studies, e.g. "fat-tree:nodes=32"`)
 	algo := flag.String("algo", "", "collective algorithm for the datacenter studies: flat | 2level | multiring")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")

@@ -294,7 +294,6 @@ type serveRequest struct {
 	Trace          []serve.TraceReq `json:"trace"`
 	SLOTTFTMs      float64          `json:"slo_ttft_ms"`
 	SLOTBTMs       float64          `json:"slo_tbt_ms"`
-	Shards         int              `json:"shards"`
 	RoCEBW         float64          `json:"roce_bw"`
 	NICBW          float64          `json:"nic_bw"`
 }
@@ -330,7 +329,6 @@ func (req *serveRequest) config() (serve.Config, error) {
 		Trace:          req.Trace,
 		SLOTTFT:        sim.Time(req.SLOTTFTMs * float64(sim.Millisecond)),
 		SLOTBT:         sim.Time(req.SLOTBTMs * float64(sim.Millisecond)),
-		Shards:         req.Shards,
 		RoCEBW:         req.RoCEBW,
 		NICBW:          req.NICBW,
 	}, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -274,6 +275,33 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSweepRejectsUnbuildableTopo: a pod size that overflows the pod count
+// would panic inside a sweep worker goroutine, where net/http cannot recover
+// it, taking the whole daemon down; a radix below 3 would hang the
+// port-count model. Both must be answered with a 4xx, and the daemon must
+// keep answering afterwards.
+func TestSweepRejectsUnbuildableTopo(t *testing.T) {
+	ts := httptest.NewServer(newServer(2))
+	defer ts.Close()
+	for _, topo := range []string{
+		"fat-tree:nodes=8,pod=9223372036854775807",
+		"fat-tree:nodes=8,radix=2",
+	} {
+		body := fmt.Sprintf(`{"strategy":"zero3","topo":%q,"sizes":"1,2","iterations":1,"warmup":1}`, topo)
+		if code, resp := post(t, ts, "/sweep", body); code < 400 || code >= 500 {
+			t.Errorf("POST /sweep topo %s = %d, want 4xx (%s)", topo, code, resp)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after rejected sweeps = %d, want 200", resp.StatusCode)
 	}
 }
 

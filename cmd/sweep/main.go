@@ -40,7 +40,7 @@ func main() {
 	iterations := flag.Int("iterations", 3, "measured iterations per point")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON summaries instead of a table")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep points to simulate concurrently; 1 runs serially")
-	shards := flag.Int("shards", 0, "simulation shards per sweep point; <=1 runs each simulation serially")
+	shards := flag.Int("shards", 0, "simulation shards per sweep point, clamped to the fabric's partitions: 1 on the testbed, up to the pod count on a generated fabric")
 	topo := flag.String("topo", "", `generated fabric spec, e.g. "fat-tree:nodes=16" (default: the paper testbed)`)
 	algo := flag.String("algo", "", "collective algorithm on generated fabrics: flat | 2level | multiring")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof format)")

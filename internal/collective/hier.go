@@ -4,7 +4,7 @@
 // hops run as fluid flows; on a 64-node fat-tree that shape both wastes the
 // fabric (two NICs of four carry everything) and defeats the sharded engine
 // (a fluid flow spanning every pod couples all rate allocations with zero
-// lookahead, so the whole run colocates on shard 0). The hierarchical
+// lookahead, so the whole run is one shard). The hierarchical
 // algorithms here fix both: intra-node phases are flows on the node's
 // NVSwitch link, and the cross-node phase is striped over every rail as
 // fabric.Handoff store-and-forward legs, whose wire latency is exactly the
@@ -36,8 +36,8 @@ type Algo int
 // The datacenter collective algorithms.
 const (
 	// AlgoFlat is the flat ring: one fused dual-ring over node leaders
-	// with fluid end-to-end crossing flows on rails 0/1, colocated on one
-	// shard — the testbed shape scaled up.
+	// with fluid end-to-end crossing flows on rails 0/1, on a one-shard
+	// cluster — the testbed shape scaled up.
 	AlgoFlat Algo = iota
 	// AlgoTwoLevel is the hierarchical schedule: intra-node phase on the
 	// NVSwitch link, cross-node ring striped over all rails as handoff
@@ -188,11 +188,11 @@ type flatJoin struct {
 }
 
 // NewDCGroup builds the collective group over all nodes of sc. A flat group
-// requires a colocated cluster (its fluid crossing flows cannot span shards);
-// hierarchical groups require the sharded build.
+// requires a one-shard cluster: its fluid crossing flows form one fair-share
+// domain that no shard boundary may split.
 func NewDCGroup(sc *topology.DCShardedCluster, algo Algo) *DCGroup {
-	if (algo == AlgoFlat) != sc.Colocated() {
-		panic(fmt.Sprintf("collective: algorithm %v on a cluster built for colocated=%v", algo, sc.Colocated()))
+	if algo == AlgoFlat && sc.Part.Shards > 1 {
+		panic(fmt.Sprintf("collective: flat algorithm on a %d-shard cluster", sc.Part.Shards))
 	}
 	return &DCGroup{sc: sc, algo: algo, plans: make(map[dcKey]dcPlan)}
 }

@@ -10,17 +10,21 @@ import (
 
 // BenchmarkHierarchicalAllReduce measures one compiled all-reduce round per
 // op across the algorithm × cluster-size × shard-count grid. The flat twin
-// keeps the whole fabric colocated on shard 0 (its dual-ring fluid flows form
-// one fair-share component spanning every NIC), so its per-op cost grows
-// quadratically with the ring; the handoff-legged hierarchical algorithms
-// decompose the same traffic into per-node components that the sharded
-// engine retires independently. The -benchmem figures double as the zero-
-// steady-state-allocation pins recorded in BENCH_topo.json.
+// runs on one shard only (its dual-ring fluid flows form one fair-share
+// component spanning every NIC), so its rows above one shard are skipped and
+// its per-op cost grows quadratically with the ring; the handoff-legged
+// hierarchical algorithms decompose the same traffic into per-node
+// components that the sharded engine retires independently. The -benchmem
+// figures double as the zero-steady-state-allocation pins recorded in
+// BENCH_topo.json.
 func BenchmarkHierarchicalAllReduce(b *testing.B) {
 	const payload = 1e9
 	for _, algo := range []Algo{AlgoFlat, AlgoTwoLevel, AlgoMultiRing} {
 		for _, nodes := range []int{16, 64, 256} {
 			for _, shards := range []int{1, 4, 8} {
+				if algo == AlgoFlat && shards > 1 {
+					continue
+				}
 				name := fmt.Sprintf("algo=%v/nodes=%d/shards=%d", algo, nodes, shards)
 				b.Run(name, func(b *testing.B) {
 					old := sim.Sharded
@@ -34,12 +38,7 @@ func BenchmarkHierarchicalAllReduce(b *testing.B) {
 						b.Fatal(err)
 					}
 					cfg.Window = sim.Time(1) << 60
-					var sc *topology.DCShardedCluster
-					if algo == AlgoFlat {
-						sc, err = topology.NewDCColocated(cfg, shards)
-					} else {
-						sc, err = topology.NewDCSharded(cfg, shards)
-					}
+					sc, err := topology.NewDCSharded(cfg, shards)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -10,8 +10,9 @@ import (
 	"llmbw/internal/topology"
 )
 
-// buildDCGroup constructs the cluster variant the algorithm requires plus
-// its collective group over every node.
+// buildDCGroup constructs the cluster plus its collective group over every
+// node. A flat group is one fair-share domain, so its shard request clamps
+// to one, as train's -shards does.
 func buildDCGroup(t *testing.T, spec string, algo Algo, shards int) (*topology.DCShardedCluster, *DCGroup) {
 	t.Helper()
 	cfg, err := topology.ParseTopoSpec(spec)
@@ -19,12 +20,10 @@ func buildDCGroup(t *testing.T, spec string, algo Algo, shards int) (*topology.D
 		t.Fatal(err)
 	}
 	cfg.Window = sim.Time(1) << 60
-	var sc *topology.DCShardedCluster
 	if algo == AlgoFlat {
-		sc, err = topology.NewDCColocated(cfg, shards)
-	} else {
-		sc, err = topology.NewDCSharded(cfg, shards)
+		shards = 1
 	}
+	sc, err := topology.NewDCSharded(cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +122,8 @@ func TestHierIdentityOnPodFabrics(t *testing.T) {
 	}
 }
 
-// TestFlatShardInvariant: the colocated flat twin must not care what the
-// -shards knob says — the whole fabric lives on shard 0.
+// TestFlatShardInvariant: the flat twin must not care what the -shards knob
+// says — its one fair-share domain always runs on one shard.
 func TestFlatShardInvariant(t *testing.T) {
 	ref := driveDC(t, "fat-tree:nodes=8", AlgoFlat, 1, false)
 	for _, shards := range []int{2, 8} {
@@ -175,7 +174,7 @@ func TestDCPlanReplayAllocFree(t *testing.T) {
 }
 
 // TestDCGroupGuards: precompilation is mandatory, mid-round restarts are
-// caught, and algorithm/cluster pairings are enforced.
+// caught, and a flat group refuses a cluster split across shards.
 func TestDCGroupGuards(t *testing.T) {
 	sc, grp := buildDCGroup(t, "rail-only:nodes=4,pod=1", AlgoTwoLevel, 2)
 	defer sc.Eng.Close()
@@ -187,19 +186,13 @@ func TestDCGroupGuards(t *testing.T) {
 		}()
 		grp.StartNode(AllReduce, 5e8, 0, func() {})
 	}()
-	cfg, _ := topology.ParseTopoSpec("rail-only:nodes=4,pod=1")
-	colo, err := topology.NewDCColocated(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer colo.Eng.Close()
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("hierarchical group on a colocated cluster did not panic")
+				t.Error("flat group on a 2-shard cluster did not panic")
 			}
 		}()
-		NewDCGroup(colo, AlgoTwoLevel)
+		NewDCGroup(sc, AlgoFlat)
 	}()
 }
 

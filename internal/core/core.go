@@ -60,9 +60,10 @@ type Options struct {
 	// the Fig 5 timelines (viewable in ui.perfetto.dev) and CSV bandwidth
 	// series for the pattern figures (Fig 9, 10, 12).
 	ArtifactsDir string
-	// Shards selects the training runs' simulation engine: > 1 the sharded
-	// engine with that many shards, <= 1 the plain serial one (see
-	// train.Config.Shards).
+	// Shards requests simulation shards for the training runs, clamped to
+	// the partitions each fabric has: one on the testbed, up to the pod
+	// count on a generated fabric with a hierarchical algorithm (see
+	// train.Config.Shards). Output does not depend on it.
 	Shards int
 	// Topo, when set, adds a custom generated fabric (a topology.ParseTopoSpec
 	// spec such as "fat-tree:nodes=32") to the datacenter-fabric extension

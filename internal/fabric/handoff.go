@@ -15,7 +15,7 @@ import (
 // lets the two shards' fair-share computations stay decoupled and the
 // parallel engine stay byte-identical to serial. (A single fluid flow whose
 // path spans both partitions would couple their rate allocations with zero
-// lookahead; such traffic cannot be sharded and must be colocated instead.)
+// lookahead; such traffic cannot be sharded and must run on one shard.)
 //
 // Transfer records are pooled with bound-once closures, so a steady stream
 // of handoffs allocates nothing. The pool is the one piece of state both
@@ -23,13 +23,10 @@ import (
 // is mutex-protected; records are interchangeable, so pool order never
 // affects simulation output.
 type Handoff struct {
-	se       *sim.ShardedEngine // nil = single-engine (local) mode
+	se       *sim.ShardedEngine
 	from, to int
 	latency  sim.Time
 	src, dst *Network
-
-	srcCap capCache // optional sender-side rate cap (read on the source shard)
-	dstCap capCache // optional receiver-side rate cap (read on the destination shard)
 
 	mu   sync.Mutex
 	free []*handoffXfer
@@ -45,24 +42,23 @@ type handoffXfer struct {
 	srcFlow Flow
 	dstFlow Flow
 	extra   sim.Time // added to the wire latency (deeper routes); never negative
-	dstCap  *PathCap // per-send receiver cap, evaluated at land; nil = handoff cap
+	dstCap  *PathCap // per-send receiver cap, evaluated at land; nil = uncapped
 	onDone  func()
 	hop     func()
 	land    func()
 	finish  func()
 }
 
-// NewHandoff creates a handoff channel from shard from to shard to with the
-// given wire latency, moving bytes off network src onto network dst. With a
-// sharded engine and distinct shards, the edge must have been Connected and
-// the latency must respect its lookahead. A nil engine (or from == to) runs
-// the hop as a plain local delay, in which case both networks must share one
-// engine — the mode plain single-engine simulations and colocated shards use.
+// NewHandoff creates a handoff channel from shard from to shard to of se
+// with the given wire latency, moving bytes off network src onto network dst.
+// Between distinct shards the edge must have been Connected and the latency
+// must respect its lookahead. A same-shard handoff runs the hop as a plain
+// local delay, so both networks must share that shard's engine.
 func NewHandoff(se *sim.ShardedEngine, from, to int, latency sim.Time, src, dst *Network) *Handoff {
 	if latency < 0 {
 		panic(fmt.Sprintf("fabric: negative handoff latency %v", latency))
 	}
-	if se != nil && from != to {
+	if from != to {
 		la, ok := se.Lookahead(from, to)
 		if !ok {
 			panic(fmt.Sprintf("fabric: handoff %d->%d without a Connect edge", from, to))
@@ -73,41 +69,23 @@ func NewHandoff(se *sim.ShardedEngine, from, to int, latency sim.Time, src, dst 
 	} else if src.eng != dst.eng {
 		panic("fabric: local handoff between networks on different engines")
 	}
-	h := &Handoff{se: se, from: from, to: to, latency: latency, src: src, dst: dst}
-	h.srcCap.net = src
-	h.dstCap.net = dst
-	return h
+	return &Handoff{se: se, from: from, to: to, latency: latency, src: src, dst: dst}
 }
 
 // Latency returns the wire latency of the hop.
 func (h *Handoff) Latency() sim.Time { return h.latency }
 
-// SetSrcCapPath caps every source-side flow at the minimum capacity along
-// path (0 clears the cap). The value is cached and revalidated against the
-// source network's capacity epoch, so mid-run SetCapacity calls — link
-// degradations, what-if rescaling — are picked up without recomputing the
-// minimum on every transfer.
-func (h *Handoff) SetSrcCapPath(path []*Link) { h.srcCap.set(path) }
-
-// SetDstCapPath is SetSrcCapPath for the destination-side flow.
-func (h *Handoff) SetDstCapPath(path []*Link) { h.dstCap.set(path) }
-
-// Send starts a store-and-forward transfer of bytes: srcPath now, the wire
-// hop when the source flow drains, dstPath on the far side, then onDone
-// (invoked in destination-shard engine context; may be nil). Send must be
+// SendPlanned starts a store-and-forward transfer of bytes: srcPath now, the
+// wire hop when the source flow drains, dstPath on the far side, then onDone
+// (invoked in destination-shard engine context; may be nil). It must be
 // called from source-shard execution context, and the path slices must not
-// be mutated until the transfer completes.
-func (h *Handoff) Send(name string, bytes float64, srcPath, dstPath []*Link, onDone func()) {
-	h.SendPlanned(name, bytes, 0, nil, nil, srcPath, dstPath, onDone)
-}
-
-// SendPlanned is Send for compiled (hierarchical) collective legs: extra adds
-// route-dependent latency on top of the wire hop (deeper switching tiers —
-// the total still respects the lookahead because extra is never negative),
-// and srcCap/dstCap override the handoff-level rate caps per send. The caps
-// are capacity-epoch-fenced PathCaps: srcCap is evaluated here (source-shard
-// context), dstCap at land time (destination-shard context), so neither shard
-// reads the other's network state.
+// be mutated until the transfer completes. extra adds route-dependent
+// latency on top of the wire hop (deeper switching tiers — the total still
+// respects the lookahead because extra is never negative). srcCap and dstCap
+// rate-cap the two sides (nil = uncapped); they are capacity-epoch-fenced
+// PathCaps, srcCap evaluated here (source-shard context) and dstCap at land
+// time (destination-shard context), so neither shard reads the other's
+// network state.
 func (h *Handoff) SendPlanned(name string, bytes float64, extra sim.Time, srcCap, dstCap *PathCap, srcPath, dstPath []*Link, onDone func()) {
 	if extra < 0 {
 		panic(fmt.Sprintf("fabric: negative handoff extra latency %v", extra))
@@ -119,10 +97,9 @@ func (h *Handoff) SendPlanned(name string, bytes float64, extra sim.Time, srcCap
 	x.srcFlow.Name = name
 	x.srcFlow.Path = srcPath
 	x.srcFlow.Bytes = bytes
+	x.srcFlow.RateLimit = 0
 	if srcCap != nil {
 		x.srcFlow.RateLimit = srcCap.Value()
-	} else {
-		x.srcFlow.RateLimit = h.srcCap.value()
 	}
 	x.dstFlow.Name = name
 	x.dstFlow.Path = dstPath
@@ -141,18 +118,11 @@ func (h *Handoff) acquire() *handoffXfer {
 	}
 	h.mu.Unlock()
 	x := &handoffXfer{h: h}
-	x.hop = func() {
-		if x.h.se != nil {
-			x.h.se.Inject(x.h.from, x.h.to, x.h.latency+x.extra, x.land)
-		} else {
-			x.h.dst.eng.Schedule(x.h.latency+x.extra, x.land)
-		}
-	}
+	x.hop = func() { x.h.se.Inject(x.h.from, x.h.to, x.h.latency+x.extra, x.land) }
 	x.land = func() {
+		x.dstFlow.RateLimit = 0
 		if x.dstCap != nil {
 			x.dstFlow.RateLimit = x.dstCap.Value()
-		} else {
-			x.dstFlow.RateLimit = x.h.dstCap.value()
 		}
 		x.h.dst.StartFlow(&x.dstFlow, x.finish)
 	}
@@ -168,7 +138,7 @@ func (h *Handoff) acquire() *handoffXfer {
 }
 
 // recycle returns x to the pool before the completion callback runs, so a
-// callback that immediately Sends again (ring traffic) reuses the record.
+// callback that immediately sends again (ring traffic) reuses the record.
 func (h *Handoff) recycle(x *handoffXfer) {
 	x.srcFlow.Path = nil
 	x.dstFlow.Path = nil
@@ -187,33 +157,15 @@ func (h *Handoff) PoolSize() int {
 	return len(h.free)
 }
 
-// PathCap is the exported form of the capacity-epoch-fenced minimum-capacity
-// cache: scale × min(capacity along path), recomputed only when the owning
-// network's capacity epoch moves. Hierarchical collective plans hold one per
-// cross leg so replay picks up mid-run SetCapacity without recomputing route
-// minima on every send. Value must be called from the owning network's shard
-// context.
+// PathCap is a capacity-epoch-fenced minimum-capacity cache: scale ×
+// min(capacity along path), recomputed only when the owning network's
+// capacity epoch moves — the same revalidation discipline compiled collective
+// plans use for their cached stream caps. Hierarchical collective plans hold
+// one per cross leg so replay picks up mid-run SetCapacity without
+// recomputing route minima on every send. Value must be called from the
+// owning network's shard context.
 type PathCap struct {
 	scale float64
-	cache capCache
-}
-
-// NewPathCap builds a cap over path on n. A zero scale or empty path yields
-// Value() == 0, which flow admission treats as "unlimited".
-func NewPathCap(n *Network, scale float64, path []*Link) *PathCap {
-	p := &PathCap{scale: scale}
-	p.cache.net = n
-	p.cache.set(path)
-	return p
-}
-
-// Value returns the current cap in bytes/s (0 = unlimited).
-func (p *PathCap) Value() float64 { return p.scale * p.cache.value() }
-
-// capCache memoizes the minimum capacity along a path, fenced by the owning
-// network's capacity epoch — the same revalidation discipline compiled
-// collective plans use for their cached stream caps.
-type capCache struct {
 	net   *Network
 	path  []*Link
 	epoch int64
@@ -221,25 +173,27 @@ type capCache struct {
 	valid bool
 }
 
-func (c *capCache) set(path []*Link) {
-	c.path = path
-	c.valid = false
+// NewPathCap builds a cap over path on n. A zero scale or empty path yields
+// Value() == 0, which flow admission treats as "unlimited".
+func NewPathCap(n *Network, scale float64, path []*Link) *PathCap {
+	return &PathCap{scale: scale, net: n, path: path}
 }
 
-func (c *capCache) value() float64 {
-	if len(c.path) == 0 {
+// Value returns the current cap in bytes/s (0 = unlimited).
+func (p *PathCap) Value() float64 {
+	if len(p.path) == 0 {
 		return 0
 	}
-	if !c.valid || c.epoch != c.net.capEpoch {
-		min := c.path[0].capacity
-		for _, l := range c.path[1:] {
+	if !p.valid || p.epoch != p.net.capEpoch {
+		min := p.path[0].capacity
+		for _, l := range p.path[1:] {
 			if l.capacity < min {
 				min = l.capacity
 			}
 		}
-		c.val = min
-		c.epoch = c.net.capEpoch
-		c.valid = true
+		p.val = min
+		p.epoch = p.net.capEpoch
+		p.valid = true
 	}
-	return c.val
+	return p.scale * p.val
 }

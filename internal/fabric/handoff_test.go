@@ -57,7 +57,7 @@ func TestHandoffLocalTiming(t *testing.T) {
 	r := newHandoffRig(1)
 	defer r.se.Close()
 	const bytes = 10e9 / 2 // half a second per side at 10 GB/s
-	r.fwd.Send("x", bytes, []*Link{r.links[0]}, []*Link{r.links[1]}, r.logDone(1, "x"))
+	r.fwd.SendPlanned("x", bytes, 0, nil, nil, []*Link{r.links[0]}, []*Link{r.links[1]}, r.logDone(1, "x"))
 	end := r.se.Run()
 	want := sim.Second/2 + handoffLat + sim.Second/2
 	if end != want {
@@ -98,14 +98,14 @@ func TestHandoffShardedMatchesSerial(t *testing.T) {
 				if dstSide == 0 {
 					back, backSide = r.fwd, 1
 				}
-				back.Send(tag, c.bytes, []*Link{r.links[dstSide]}, []*Link{r.links[backSide]},
+				back.SendPlanned(tag, c.bytes, 0, nil, nil, []*Link{r.links[dstSide]}, []*Link{r.links[backSide]},
 					bounce(c, backSide, tag))
 			}
 		}
 		a := &chain{remaining: 10, bytes: 4e9}
 		b := &chain{remaining: 10, bytes: 6e9}
-		r.fwd.Send("a", a.bytes, []*Link{r.links[0]}, []*Link{r.links[1]}, bounce(a, 1, "a"))
-		r.fwd.Send("b", b.bytes, []*Link{r.links[0]}, []*Link{r.links[1]}, bounce(b, 1, "b"))
+		r.fwd.SendPlanned("a", a.bytes, 0, nil, nil, []*Link{r.links[0]}, []*Link{r.links[1]}, bounce(a, 1, "a"))
+		r.fwd.SendPlanned("b", b.bytes, 0, nil, nil, []*Link{r.links[0]}, []*Link{r.links[1]}, bounce(b, 1, "b"))
 		end := r.se.Run()
 		return r.logs, end
 	}
@@ -125,24 +125,26 @@ func TestHandoffShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestHandoffCapFencing checks the cached destination cap revalidates on the
-// capacity epoch: after a mid-run SetCapacity the next transfer must run at
-// the degraded rate without any explicit cache invalidation.
+// TestHandoffCapFencing checks a per-send destination cap revalidates on
+// the capacity epoch: after a mid-run SetCapacity the next transfer must run
+// at the degraded rate without any explicit cache invalidation. The cap
+// reads a link off the flow's path, so only the cap can slow the leg.
 func TestHandoffCapFencing(t *testing.T) {
 	r := newHandoffRig(1)
 	defer r.se.Close()
-	r.fwd.SetDstCapPath([]*Link{r.links[1]})
+	capLink := NewLink("n1/cap", RoCE, 1, 10e9, sim.Time(1)<<40)
+	dstCap := NewPathCap(r.nets[1], 1, []*Link{capLink})
 	var doneAt []sim.Time
 	mark := func() { doneAt = append(doneAt, r.se.Now()) }
 	send := func() {
-		r.fwd.Send("x", 10e9, []*Link{r.links[0]}, []*Link{r.links[1]}, mark)
+		r.fwd.SendPlanned("x", 10e9, 0, nil, dstCap, []*Link{r.links[0]}, []*Link{r.links[1]}, mark)
 	}
 	eng := r.se.Shard(0)
 	eng.Schedule(0, send)
 	r.se.Run()
-	// Degrade the destination link 4x and send again: the handoff's cached
-	// cap must be refenced by the epoch bump, making the dst leg 4x slower.
-	eng.Schedule(0, func() { r.nets[1].SetCapacity(r.links[1], 2.5e9) })
+	// Degrade the capped link 4x and send again: the cached cap must be
+	// refenced by the epoch bump, making the dst leg 4x slower.
+	eng.Schedule(0, func() { r.nets[1].SetCapacity(capLink, 2.5e9) })
 	eng.Schedule(0, send)
 	r.se.Run()
 	if len(doneAt) != 2 {
@@ -155,11 +157,9 @@ func TestHandoffCapFencing(t *testing.T) {
 	if d1 != wantD1 || d2 != wantD2 {
 		t.Errorf("transfer durations %v then %v, want %v then %v", d1, d2, wantD1, wantD2)
 	}
-	// The cap is a RateLimit, not the link capacity itself: restoring the
-	// link and clearing the path must lift the limit.
-	r.fwd.SetDstCapPath(nil)
-	if got := r.fwd.dstCap.value(); got != 0 {
-		t.Errorf("cleared cap path still caps at %v", got)
+	// A cap over an empty path caps nothing.
+	if got := NewPathCap(r.nets[1], 1, nil).Value(); got != 0 {
+		t.Errorf("cap over an empty path caps at %v", got)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestHandoffContractPanics(t *testing.T) {
 	se.Connect(0, 1, 100)
 	mustPanic("latency below lookahead", func() { NewHandoff(se, 0, 1, 50, n0, n1) })
 	mustPanic("missing edge", func() { NewHandoff(se, 1, 0, 100, n1, n0) })
-	mustPanic("negative latency", func() { NewHandoff(nil, 0, 0, -1, n0, n0) })
-	mustPanic("local mode across engines", func() { NewHandoff(nil, 0, 0, 10, n0, n1) })
+	mustPanic("negative latency", func() { NewHandoff(se, 0, 0, -1, n0, n0) })
+	mustPanic("same-shard handoff across engines", func() { NewHandoff(se, 0, 0, 10, n0, n1) })
 }
 
 // TestHandoffSteadyStateAllocs pins the pooled-transfer path: a self-
@@ -198,8 +198,8 @@ func TestHandoffSteadyStateAllocs(t *testing.T) {
 	revSrc := []*Link{r.links[1]}
 	revDst := []*Link{r.links[0]}
 	var fwd, rev func()
-	fwd = func() { r.fwd.Send("p", 1e9, srcPath, dstPath, rev) }
-	rev = func() { r.rev.Send("p", 1e9, revSrc, revDst, fwd) }
+	fwd = func() { r.fwd.SendPlanned("p", 1e9, 0, nil, nil, srcPath, dstPath, rev) }
+	rev = func() { r.rev.SendPlanned("p", 1e9, 0, nil, nil, revSrc, revDst, fwd) }
 	r.se.Shard(0).Schedule(0, fwd)
 	r.se.RunUntil(2 * sim.Second) // warm pools, heaps, workers
 	deadline := r.se.Now()

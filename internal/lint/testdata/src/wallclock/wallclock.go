@@ -8,9 +8,9 @@ import (
 
 // Bad reads the wall clock and the global rand source.
 func Bad() (time.Time, float64, time.Duration) {
-	now := time.Now()           // want no-wallclock
-	v := rand.Float64()         // want no-wallclock
-	elapsed := time.Since(now)  // want no-wallclock
+	now := time.Now()          // want no-wallclock
+	v := rand.Float64()        // want no-wallclock
+	elapsed := time.Since(now) // want no-wallclock
 	return now, v, elapsed
 }
 

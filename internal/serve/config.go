@@ -125,9 +125,6 @@ type Config struct {
 	SLOTTFT sim.Time
 	SLOTBT  sim.Time
 
-	// Shards builds the cluster on a sharded engine (colocated on shard 0,
-	// byte-identical at every count — the determinism A/B knob).
-	Shards int
 	// Window is the telemetry sampling window (0 = default).
 	Window sim.Time
 	// RoCEBW overrides the testbed per-NIC bandwidth (bytes/s, 0 = paper).
@@ -208,8 +205,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: closed-loop arrival needs positive concurrency")
 	case c.Arrival == TraceDriven && len(c.Trace) == 0:
 		return fmt.Errorf("serve: trace-driven arrival needs trace entries")
-	case c.Shards < 0:
-		return fmt.Errorf("serve: negative shards")
 	}
 	if c.Topo == topology.PaperTopo {
 		if c.Disaggregated && c.Nodes != 2 {
@@ -271,10 +266,10 @@ func (c Config) Name() string {
 // ScenarioKey returns the canonical cache key of the scenario: every field
 // that affects the simulated outcome, in a fixed order.
 func (c Config) ScenarioKey() string {
-	return fmt.Sprintf("serve m%+v tp%d n%d dis%t topo%q a%d r%g cc%d q%d w%d p%d d%d b%d seed%d slo%d/%d sh%d win%d roce%g nic%g tr%v",
+	return fmt.Sprintf("serve m%+v tp%d n%d dis%t topo%q a%d r%g cc%d q%d w%d p%d d%d b%d seed%d slo%d/%d win%d roce%g nic%g tr%v",
 		c.Model, c.TensorParallel, c.Nodes, c.Disaggregated, c.Topo,
 		c.Arrival, c.RatePerSec, c.Concurrency, c.Requests, c.Warmup,
 		c.PromptTokens, c.DecodeTokens, c.MaxBatch, c.Seed,
-		int64(c.SLOTTFT), int64(c.SLOTBT), c.Shards, int64(c.Window),
+		int64(c.SLOTTFT), int64(c.SLOTBT), int64(c.Window),
 		c.RoCEBW, c.NICBW, c.Trace)
 }

@@ -17,9 +17,9 @@ import (
 // requests spread round-robin over the replicas. Disaggregated placement
 // dedicates a quarter of the nodes to prefill (at least one); each admitted
 // request's KV cache crosses the rail fabric to its decode replica — the
-// NIC-bandwidth-sensitive path the what-if study sweeps. The fabric is built
-// colocated on shard 0 (the fluid KV and NVSwitch flows cannot span shards),
-// so results are byte-identical at every -shards count.
+// NIC-bandwidth-sensitive path the what-if study sweeps. The fluid KV and
+// NVSwitch flows form one fair-share domain, so the fabric is built on one
+// shard.
 func runDC(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -33,11 +33,7 @@ func runDC(cfg Config) (*Result, error) {
 		dcCfg.NICBW = cfg.NICBW
 	}
 	cfg.Nodes = dcCfg.Nodes // report the fabric's node count, not the testbed default
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	sc, err := topology.NewDCColocated(dcCfg, shards)
+	sc, err := topology.NewDCSharded(dcCfg, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	tcfg := topology.DefaultConfig(cfg.Nodes)
-	tcfg.Shards = cfg.Shards
 	tcfg.Window = cfg.Window
 	tcfg.RoCEBW = cfg.RoCEBW
 	cluster := topology.New(tcfg)
@@ -395,8 +394,8 @@ func (r *Runner) Run() (*Result, error) {
 	} else {
 		r.eng.Go("serve", r.serveColocated)
 	}
-	end := r.cluster.RunSim()
-	if live := r.cluster.SimLiveProcs(); live != 0 {
+	end := r.eng.Run()
+	if live := r.eng.LiveProcs(); live != 0 {
 		return nil, fmt.Errorf("serve: %s deadlocked with %d live procs", r.cfg.Name(), live)
 	}
 	if r.done != len(r.reqs) {

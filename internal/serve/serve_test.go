@@ -192,8 +192,8 @@ func requestLog(t *testing.T, cfg Config) string {
 }
 
 // TestServeDeterminismAB pins the determinism contract: the per-request log
-// is byte-identical across engine shard counts and across serial-merge vs
-// parallel-window execution, for every placement and fabric family.
+// is byte-identical between serial-merge and parallel-window execution, for
+// every placement and fabric family.
 func TestServeDeterminismAB(t *testing.T) {
 	defer func(s bool) { sim.Sharded = s }(sim.Sharded)
 	for _, base := range []struct {
@@ -209,16 +209,9 @@ func TestServeDeterminismAB(t *testing.T) {
 		if ref == "" {
 			t.Fatalf("%s: empty request log", base.name)
 		}
-		for _, shards := range []int{1, 2, 4} {
-			for _, parallel := range []bool{false, true} {
-				sim.Sharded = parallel
-				cfg := base.cfg
-				cfg.Shards = shards
-				if got := requestLog(t, cfg); got != ref {
-					t.Errorf("%s: request log diverged at shards=%d parallel=%v",
-						base.name, shards, parallel)
-				}
-			}
+		sim.Sharded = true
+		if got := requestLog(t, base.cfg); got != ref {
+			t.Errorf("%s: request log diverged between serial merge and parallel windows", base.name)
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 // two paths are byte-identical in every observable (traces, telemetry,
 // summaries). The serial merge is the parallel engine's live oracle: it is
 // the repository's only package-level execution toggle, kept so the sharded
-// A/B tests can compare the two. It must not be toggled while a simulation
-// is running.
+// A/B tests can compare the two on the one model-level partition, the pod
+// seams of a generated fabric (topology.NewDCSharded). It must not be toggled
+// while a simulation is running.
 var Sharded = true
 
 const (
@@ -135,7 +136,8 @@ func (se *ShardedEngine) Shards() int { return len(se.shards) }
 // least lookahead delay. Tighter declarations win. The lookahead must be
 // positive: a zero-delay edge would collapse the window to nothing (and a
 // zero-latency coupling — e.g. two shards sharing a fluid fair-share
-// component — cannot be sharded conservatively at all; colocate it).
+// component — cannot be sharded conservatively at all; keep it on one
+// shard).
 func (se *ShardedEngine) Connect(from, to int, lookahead Time) {
 	se.checkShard(from)
 	se.checkShard(to)

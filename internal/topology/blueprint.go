@@ -19,34 +19,34 @@ import (
 // themselves are always fresh (live clusters advance their virtual clocks and
 // cannot be reused without shifting telemetry windows).
 type DCBlueprint struct {
-	Cfg       DCConfig // defaulted, validated
-	Colocated bool
+	Cfg DCConfig // defaulted, validated
 
-	engineShards int // sharded-engine worker count (≥ part.Shards)
-	part         Partition
-	podOf        []int
-	subs         []DCConfig
-	names        []*dcNames
+	part  Partition
+	podOf []int
+	subs  []DCConfig
+	names []*dcNames
 }
 
 // dcBlueprints is the topology tier of the warm-artifact store. Blueprints
-// are pure functions of (spec, shards, colocated) and independent of any
-// capacity state, so entries carry epoch 0.
+// are pure functions of (spec, shards) and independent of any capacity
+// state, so entries carry epoch 0.
 var dcBlueprints = scenario.New("topology.blueprints", 64)
 
 // DCBlueprintFor fetches (building on first use) the blueprint for a fabric
-// configuration, shard count and placement mode through the blueprint cache.
+// configuration and shard request through the blueprint cache. colocated
+// requests a single shard, whatever shards says; otherwise the request is
+// clamped to [1, pod count] by the partition.
 func DCBlueprintFor(cfg DCConfig, shards int, colocated bool) (*DCBlueprint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	if shards < 1 {
+	if shards < 1 || colocated {
 		shards = 1
 	}
-	key := scenario.Intern(fmt.Sprintf("bp|%+v|sh%d|co%t", cfg, shards, colocated))
+	key := scenario.Intern(fmt.Sprintf("bp|%+v|sh%d", cfg, shards))
 	v, err := dcBlueprints.Do(key, 0, func() (any, error) {
-		return newDCBlueprint(cfg, shards, colocated), nil
+		return newDCBlueprint(cfg, shards), nil
 	})
 	if err != nil {
 		return nil, err
@@ -56,36 +56,17 @@ func DCBlueprintFor(cfg DCConfig, shards int, colocated bool) (*DCBlueprint, err
 
 // newDCBlueprint computes a blueprint from scratch. cfg must be validated and
 // defaulted; shards ≥ 1.
-func newDCBlueprint(cfg DCConfig, shards int, colocated bool) *DCBlueprint {
-	bp := &DCBlueprint{Cfg: cfg, Colocated: colocated, podOf: dcPodOf(cfg)}
-	if colocated {
-		// Whole fabric on shard 0 of a shards-wide engine (see NewDCColocated).
-		bp.engineShards = shards
-		bp.part = Partition{
-			Nodes:     cfg.Nodes,
-			Shards:    1,
-			Of:        make([]int, cfg.Nodes),
-			First:     []int{0},
-			Counts:    []int{cfg.Nodes},
-			Lookahead: LatDCWire,
-		}
+func newDCBlueprint(cfg DCConfig, shards int) *DCBlueprint {
+	bp := &DCBlueprint{Cfg: cfg, podOf: dcPodOf(cfg)}
+	bp.part = MakeRailPartition(cfg.Seams(), shards, LatDCWire)
+	totalPods := cfg.Pods()
+	for s := 0; s < bp.part.Shards; s++ {
 		sub := cfg
-		sub.TotalPods = cfg.Pods()
-		bp.subs = []DCConfig{sub}
-	} else {
-		bp.part = MakeRailPartition(cfg.Seams(), shards, LatDCWire)
-		bp.engineShards = bp.part.Shards
-		totalPods := cfg.Pods()
-		for s := 0; s < bp.part.Shards; s++ {
-			sub := cfg
-			sub.Nodes = bp.part.Counts[s]
-			sub.FirstNode = bp.part.First[s]
-			sub.FirstPod = bp.part.First[s] / cfg.PodSize
-			sub.TotalPods = totalPods
-			bp.subs = append(bp.subs, sub)
-		}
-	}
-	for _, sub := range bp.subs {
+		sub.Nodes = bp.part.Counts[s]
+		sub.FirstNode = bp.part.First[s]
+		sub.FirstPod = bp.part.First[s] / cfg.PodSize
+		sub.TotalPods = totalPods
+		bp.subs = append(bp.subs, sub)
 		bp.names = append(bp.names, dcNamesFor(sub))
 	}
 	return bp
@@ -95,23 +76,15 @@ func newDCBlueprint(cfg DCConfig, shards int, colocated bool) *DCBlueprint {
 // networks and handoffs wired with the blueprint's precomputed partition and
 // name tables. Every Build is independent — the blueprint is never written.
 func (bp *DCBlueprint) Build() *DCShardedCluster {
-	se := sim.NewSharded(bp.engineShards)
-	if !bp.Colocated {
-		for i := 0; i < bp.part.Shards; i++ {
-			for j := 0; j < bp.part.Shards; j++ {
-				if i != j {
-					se.Connect(i, j, bp.part.Lookahead)
-				}
+	se := sim.NewSharded(bp.part.Shards)
+	for i := 0; i < bp.part.Shards; i++ {
+		for j := 0; j < bp.part.Shards; j++ {
+			if i != j {
+				se.Connect(i, j, bp.part.Lookahead)
 			}
 		}
 	}
-	sc := &DCShardedCluster{
-		Cfg:       bp.Cfg,
-		Part:      bp.part,
-		Eng:       se,
-		podOf:     bp.podOf,
-		colocated: bp.Colocated,
-	}
+	sc := &DCShardedCluster{Cfg: bp.Cfg, Part: bp.part, Eng: se, podOf: bp.podOf}
 	for s, sub := range bp.subs {
 		sc.Groups = append(sc.Groups, buildDCNamed(se.Shard(s), sub, bp.names[s]))
 	}

@@ -31,6 +31,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"llmbw/internal/fabric"
 	"llmbw/internal/sim"
@@ -148,8 +149,12 @@ func (c DCConfig) Validate() error {
 	if c.Rails < 1 || c.Rails > GPUsPerNode*2 {
 		return fmt.Errorf("topology: %d rails outside the supported 1-%d range", c.Rails, GPUsPerNode*2)
 	}
-	if c.PodSize < 1 {
-		return fmt.Errorf("topology: pod size %d below 1", c.PodSize)
+	if c.PodSize < 1 || c.PodSize > MaxDCNodes {
+		return fmt.Errorf("topology: pod size %d outside the supported 1-%d range", c.PodSize, MaxDCNodes)
+	}
+	if c.Radix < 3 {
+		// A Clos tier of radix r multiplies reach by r/2, so r < 3 never grows.
+		return fmt.Errorf("topology: switch radix %d below 3", c.Radix)
 	}
 	if c.Oversub < 1 {
 		return fmt.Errorf("topology: oversubscription %g below 1", c.Oversub)
@@ -181,10 +186,19 @@ func (c DCConfig) Seams() []int {
 	return seams
 }
 
-// Spec renders the configuration in ParseTopoSpec syntax.
+// Spec renders the configuration in ParseTopoSpec syntax. Oversubscription
+// and radix appear only when they differ from their defaults, so default
+// specs keep their short form.
 func (c DCConfig) Spec() string {
 	c = c.WithDefaults()
-	return fmt.Sprintf("%s:nodes=%d,pod=%d,rails=%d", c.Kind, c.Nodes, c.PodSize, c.Rails)
+	s := fmt.Sprintf("%s:nodes=%d,pod=%d,rails=%d", c.Kind, c.Nodes, c.PodSize, c.Rails)
+	if c.Oversub != 1 {
+		s += ",oversub=" + strconv.FormatFloat(c.Oversub, 'f', -1, 64)
+	}
+	if c.Radix != DCRadix {
+		s += ",radix=" + strconv.Itoa(c.Radix)
+	}
+	return s
 }
 
 // clos returns the switching-tier count and total switch-port count of a
@@ -399,9 +413,9 @@ func (dc *DCCluster) ClassStats(class fabric.Class, node int, start, end sim.Tim
 // DCShardedCluster is a datacenter fabric spread over the shards of one
 // sharded engine along its pod seams: one DCCluster per shard, fully
 // connected by lookahead edges at the minimal wire latency, a Handoff per
-// directed shard pair for cross-node traffic. The colocated variant (see
-// NewDCColocated) places the whole fabric on shard 0 for workloads whose
-// cross-node flows are fluid end to end.
+// directed shard pair for cross-node traffic. Workloads whose cross-node
+// flows are fluid end to end (flat collectives, serving) form one fair-share
+// domain and build it with a single shard.
 type DCShardedCluster struct {
 	Cfg  DCConfig
 	Part Partition
@@ -409,9 +423,8 @@ type DCShardedCluster struct {
 
 	Groups []*DCCluster // one per shard
 
-	handoffs  [][]*fabric.Handoff
-	podOf     []int // global node -> global pod
-	colocated bool
+	handoffs [][]*fabric.Handoff
+	podOf    []int // global node -> global pod
 }
 
 func dcPodOf(cfg DCConfig) []int {
@@ -435,20 +448,6 @@ func NewDCSharded(cfg DCConfig, shards int) (*DCShardedCluster, error) {
 	return bp.Build(), nil
 }
 
-// NewDCColocated builds the whole fabric on shard 0 of a sharded engine with
-// the requested shard count (minimum 1) — the home of flat (fluid
-// end-to-end) collectives, whose single cross-node flows couple every node's
-// rate allocation with zero lookahead and therefore cannot be split. Output
-// is invariant in shards, which keeps the -shards knob byte-identical for
-// flat runs just as train.Config.Shards is for the testbed cluster.
-func NewDCColocated(cfg DCConfig, shards int) (*DCShardedCluster, error) {
-	bp, err := DCBlueprintFor(cfg, shards, true)
-	if err != nil {
-		return nil, err
-	}
-	return bp.Build(), nil
-}
-
 func (sc *DCShardedCluster) connectHandoffs() {
 	n := len(sc.Groups)
 	sc.handoffs = make([][]*fabric.Handoff, n)
@@ -460,9 +459,6 @@ func (sc *DCShardedCluster) connectHandoffs() {
 		}
 	}
 }
-
-// Colocated reports whether the whole fabric lives on shard 0.
-func (sc *DCShardedCluster) Colocated() bool { return sc.colocated }
 
 // Nodes returns the global node count.
 func (sc *DCShardedCluster) Nodes() int { return sc.Cfg.Nodes }

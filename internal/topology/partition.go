@@ -3,56 +3,22 @@ package topology
 import (
 	"fmt"
 
-	"llmbw/internal/fabric"
 	"llmbw/internal/sched"
 	"llmbw/internal/sim"
 )
 
-// Partition assigns cluster nodes to simulation shards in contiguous
-// balanced blocks. Node boundaries are the natural cut: every intra-node
-// link stays inside one shard's fair-share domain and the only cross-shard
-// traffic is NIC-to-NIC, whose one-way wire latency (LatRoCE) becomes the
-// conservative lookahead window.
+// Partition assigns the nodes of a generated fabric to simulation shards in
+// contiguous blocks aligned to its seams (see MakeRailPartition). Seams are
+// the natural cut: every pod trunk and node link stays inside one shard's
+// fair-share domain, and the only cross-shard traffic is the store-and-
+// forward handoff whose one-way wire latency becomes the conservative
+// lookahead window.
 type Partition struct {
-	Nodes     int
 	Shards    int
 	Of        []int    // node -> shard
 	First     []int    // shard -> first global node of its block
 	Counts    []int    // shard -> nodes in its block
-	Lookahead sim.Time // inter-shard lookahead (the NIC wire latency)
-}
-
-// MakePartition splits nodes into shards contiguous blocks whose sizes
-// differ by at most one (sched.RoundRobin's distribution). A shard count
-// above the node count is clamped: an empty shard would contribute nothing
-// but horizon bookkeeping.
-func MakePartition(nodes, shards int) Partition {
-	if nodes < 1 {
-		panic("topology: partition needs at least one node")
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > nodes {
-		shards = nodes
-	}
-	p := Partition{
-		Nodes:     nodes,
-		Shards:    shards,
-		Of:        make([]int, nodes),
-		First:     make([]int, shards),
-		Counts:    sched.RoundRobin(nodes, shards),
-		Lookahead: LatRoCE,
-	}
-	node := 0
-	for s, cnt := range p.Counts {
-		p.First[s] = node
-		for i := 0; i < cnt; i++ {
-			p.Of[node] = s
-			node++
-		}
-	}
-	return p
+	Lookahead sim.Time // inter-shard lookahead (the wire latency)
 }
 
 // MakeRailPartition splits nodes into shards contiguous blocks aligned to
@@ -85,7 +51,6 @@ func MakeRailPartition(seams []int, shards int, lookahead sim.Time) Partition {
 		shards = len(seams)
 	}
 	p := Partition{
-		Nodes:     nodes,
 		Shards:    shards,
 		Of:        make([]int, nodes),
 		First:     make([]int, shards),
@@ -105,94 +70,4 @@ func MakeRailPartition(seams []int, shards int, lookahead sim.Time) Partition {
 		}
 	}
 	return p
-}
-
-// ShardedCluster is a multi-node cluster partitioned across the shards of
-// one sharded engine: one sub-cluster (own fabric.Network, own link graph,
-// global node naming) per shard, fully connected by lookahead edges at the
-// NIC wire latency, with a store-and-forward Handoff per directed shard
-// pair for the cross-partition traffic. It is the substrate for workloads
-// whose inter-node exchanges are NIC hand-offs rather than single
-// end-to-end fluid flows — the shape that actually parallelizes.
-type ShardedCluster struct {
-	Part   Partition
-	Eng    *sim.ShardedEngine
-	Groups []*Cluster // one per shard
-
-	handoffs [][]*fabric.Handoff // [from shard][to shard]
-}
-
-// NewShardedCluster partitions cfg.Nodes over shards sub-engines. The
-// cfg.Shards field is ignored (it selects the colocated mode of New);
-// drives are split into the sub-cluster owning their node.
-func NewShardedCluster(cfg Config, shards int) *ShardedCluster {
-	part := MakePartition(cfg.Nodes, shards)
-	se := sim.NewSharded(part.Shards)
-	for i := 0; i < part.Shards; i++ {
-		for j := 0; j < part.Shards; j++ {
-			if i != j {
-				se.Connect(i, j, part.Lookahead)
-			}
-		}
-	}
-	sc := &ShardedCluster{Part: part, Eng: se}
-	for s := 0; s < part.Shards; s++ {
-		sub := cfg
-		sub.Shards = 0
-		sub.Nodes = part.Counts[s]
-		sub.FirstNode = part.First[s]
-		sub.Drives = nil
-		for _, d := range cfg.Drives {
-			if part.Of[d.Node] == s {
-				d.Node -= part.First[s]
-				sub.Drives = append(sub.Drives, d)
-			}
-		}
-		g := build(se.Shard(s), sub)
-		g.Sharded = se
-		sc.Groups = append(sc.Groups, g)
-	}
-	sc.handoffs = make([][]*fabric.Handoff, part.Shards)
-	for i := range sc.handoffs {
-		sc.handoffs[i] = make([]*fabric.Handoff, part.Shards)
-		for j := range sc.handoffs[i] {
-			sc.handoffs[i][j] = fabric.NewHandoff(se, i, j, part.Lookahead,
-				sc.Groups[i].Net, sc.Groups[j].Net)
-		}
-	}
-	return sc
-}
-
-// ShardOf returns the shard owning a global node.
-func (sc *ShardedCluster) ShardOf(node int) int {
-	sc.checkNode(node)
-	return sc.Part.Of[node]
-}
-
-// GroupOf returns the sub-cluster owning a global node and the node's local
-// index within it (the index the Cluster accessors take).
-func (sc *ShardedCluster) GroupOf(node int) (*Cluster, int) {
-	s := sc.ShardOf(node)
-	return sc.Groups[s], node - sc.Part.First[s]
-}
-
-// Handoff returns the store-and-forward channel used for traffic from one
-// global node's partition to another's. Same-shard pairs get the local
-// (plain-delay) handoff, so callers can route all inter-node traffic
-// uniformly regardless of where the partition boundaries fall — which is
-// what keeps the simulated numerics identical at every shard count.
-func (sc *ShardedCluster) Handoff(fromNode, toNode int) *fabric.Handoff {
-	return sc.handoffs[sc.ShardOf(fromNode)][sc.ShardOf(toNode)]
-}
-
-// RunSim drives the simulation to completion and shuts the workers down.
-func (sc *ShardedCluster) RunSim() sim.Time {
-	defer sc.Eng.Close()
-	return sc.Eng.Run()
-}
-
-func (sc *ShardedCluster) checkNode(node int) {
-	if node < 0 || node >= sc.Part.Nodes {
-		panic(fmt.Sprintf("topology: no such node %d", node))
-	}
 }

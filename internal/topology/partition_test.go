@@ -8,83 +8,23 @@ import (
 	"llmbw/internal/sim"
 )
 
-func TestMakePartitionShapes(t *testing.T) {
-	cases := []struct {
-		nodes, shards int
-		wantCounts    []int
-	}{
-		{1, 1, []int{1}},
-		{2, 1, []int{2}},
-		{4, 2, []int{2, 2}},
-		{5, 2, []int{3, 2}},
-		{16, 4, []int{4, 4, 4, 4}},
-		{3, 8, []int{1, 1, 1}}, // shard count clamps to node count
+// dcSharded builds a pod-seam sharded fabric from a spec.
+func dcSharded(t *testing.T, spec string, shards int, window sim.Time) *DCShardedCluster {
+	t.Helper()
+	cfg, err := ParseTopoSpec(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		p := MakePartition(tc.nodes, tc.shards)
-		if len(p.Counts) != len(tc.wantCounts) {
-			t.Errorf("MakePartition(%d,%d): %d shards, want %d", tc.nodes, tc.shards, len(p.Counts), len(tc.wantCounts))
-			continue
-		}
-		node := 0
-		for s, want := range tc.wantCounts {
-			if p.Counts[s] != want {
-				t.Errorf("MakePartition(%d,%d): shard %d holds %d nodes, want %d", tc.nodes, tc.shards, s, p.Counts[s], want)
-			}
-			if p.First[s] != node {
-				t.Errorf("MakePartition(%d,%d): shard %d starts at %d, want %d", tc.nodes, tc.shards, s, p.First[s], node)
-			}
-			for i := 0; i < p.Counts[s]; i++ {
-				if p.Of[node] != s {
-					t.Errorf("MakePartition(%d,%d): node %d on shard %d, want %d", tc.nodes, tc.shards, node, p.Of[node], s)
-				}
-				node++
-			}
-		}
-		if p.Lookahead != LatRoCE {
-			t.Errorf("lookahead = %v, want LatRoCE", p.Lookahead)
-		}
+	cfg.Window = window
+	sc, err := NewDCSharded(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestShardedClusterGlobalNaming requires a partitioned cluster to expose
-// exactly the monolithic cluster's link identities — same names, same
-// Link.Node — regardless of where the partition boundaries fall. That is
-// the property that makes telemetry byte-identical across shard counts.
-func TestShardedClusterGlobalNaming(t *testing.T) {
-	const nodes = 5
-	mono := New(DefaultConfig(nodes))
-	want := make(map[string]int)
-	for _, class := range fabric.MeasuredClasses() {
-		for _, l := range mono.LinksOfClass(class, -1) {
-			want[l.Name] = l.Node
-		}
-	}
-	sc := NewShardedCluster(DefaultConfig(nodes), 2)
-	defer sc.Eng.Close()
-	got := make(map[string]int)
-	for _, g := range sc.Groups {
-		for _, class := range fabric.MeasuredClasses() {
-			for _, l := range g.LinksOfClass(class, -1) {
-				if _, dup := got[l.Name]; dup {
-					t.Errorf("link %s appears in two sub-clusters", l.Name)
-				}
-				got[l.Name] = l.Node
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("partitioned cluster has %d links, monolithic has %d", len(got), len(want))
-	}
-	for name, node := range want {
-		if gn, ok := got[name]; !ok || gn != node {
-			t.Errorf("link %s: node %d in partitioned cluster, want %d", name, gn, node)
-		}
-	}
+	return sc
 }
 
 func TestShardedClusterLookup(t *testing.T) {
-	sc := NewShardedCluster(DefaultConfig(5), 2) // blocks [0,1,2] and [3,4]
+	sc := dcSharded(t, "fat-tree:nodes=5,pod=1", 2, 0) // blocks [0,1,2] and [3,4]
 	defer sc.Eng.Close()
 	if s := sc.ShardOf(2); s != 0 {
 		t.Errorf("ShardOf(2) = %d, want 0", s)
@@ -98,60 +38,58 @@ func TestShardedClusterLookup(t *testing.T) {
 	}
 	// Global naming means the local accessor on the sub-cluster returns the
 	// globally named link.
-	if name := g.RoCELink(NIC{Node: ln, Socket: 0}).Name; name != "n4/roce0" {
-		t.Errorf("node 4's NIC link is %q, want n4/roce0", name)
+	if name := g.NICLink(ln, 0).Name; name != "dc4/nic0" {
+		t.Errorf("node 4's rail-0 NIC link is %q, want dc4/nic0", name)
 	}
-	if h := sc.Handoff(0, 4); h.Latency() != LatRoCE {
-		t.Errorf("handoff latency %v, want LatRoCE", h.Latency())
+	if h := sc.Handoff(0, 4); h.Latency() != LatDCWire {
+		t.Errorf("handoff latency %v, want LatDCWire", h.Latency())
 	}
 	if sc.Handoff(0, 1) != sc.Handoff(1, 2) {
 		t.Errorf("same-shard-pair handoffs should be shared")
 	}
 }
 
-// ringWorkload drives a store-and-forward NIC ring over a partitioned
-// cluster: every node streams to its successor, GPU→NIC on the sender, a
-// LatRoCE wire hop, NIC→DRAM on the receiver, resending on completion.
-// Per-node byte counts are deliberately asymmetric: a same-shard hop lands
-// with a local sequence number while a cross-shard hop lands in the
-// injection band, so only tie-free workloads are comparable across shard
-// counts (the serial/parallel A/B at one shard count is exact regardless).
-func ringWorkload(sc *ShardedCluster, rounds int) *[][]string {
-	n := sc.Part.Nodes
+// ringWorkload drives a store-and-forward ring over a partitioned fabric:
+// every node streams to its successor over rail 0 — the sender-owned half
+// of the RailPath, the wire hop, then the receiver-owned half — resending
+// on completion. Per-node byte counts are deliberately asymmetric: a
+// same-shard hop lands with a local sequence number while a cross-shard hop
+// lands in the injection band, so only tie-free workloads are comparable
+// across shard counts (the serial/parallel A/B at one shard count is exact
+// regardless).
+func ringWorkload(sc *DCShardedCluster, rounds int) *[][]string {
+	n := sc.Nodes()
 	logs := make([][]string, n)
 	for node := 0; node < n; node++ {
 		node := node
 		next := (node + 1) % n
-		src, ls := sc.GroupOf(node)
-		dst, ld := sc.GroupOf(next)
 		h := sc.Handoff(node, next)
-		srcPath := src.GPUToNIC(GPU{Node: ls, Index: 0}, NIC{Node: ls, Socket: 0}).Links
-		dstPath := []*fabric.Link{dst.PCIeNICLink(NIC{Node: ld, Socket: 0}), dst.DRAMLink(ld, 0)}
+		srcPath, dstPath, extra := sc.RailPath(node, next, 0)
 		bytes := 1e9 + float64(node)*64e6
 		left := rounds
 		var send func()
 		var done func()
 		done = func() {
-			logs[node] = append(logs[node], fmt.Sprintf("%v n%d", dst.Eng.Now(), node))
+			logs[node] = append(logs[node], fmt.Sprintf("%v n%d", sc.EngineOf(next).Now(), node))
 			if left--; left > 0 {
-				// done runs on the receiver's shard, but Send must run on
-				// the sender's — so the "ack" travels back across the shard
-				// boundary like any other cross-partition event, paying the
-				// wire latency.
+				// done runs on the receiver's shard, but a send must start
+				// on the sender's — so the "ack" travels back across the
+				// shard boundary like any other cross-partition event,
+				// paying the wire latency.
 				sc.Eng.Inject(sc.ShardOf(next), sc.ShardOf(node), sc.Part.Lookahead, send)
 			}
 		}
 		send = func() {
-			h.Send(fmt.Sprintf("ring n%d", node), bytes, srcPath, dstPath, done)
+			h.SendPlanned(fmt.Sprintf("ring n%d", node), bytes, extra, nil, nil, srcPath, dstPath, done)
 		}
-		src.Eng.Schedule(0, send)
+		sc.EngineOf(node).Schedule(0, send)
 	}
 	return &logs
 }
 
 // TestShardedClusterRingIdentical runs the ring on 1, 2 and 4 shards, in
 // serial-merge and parallel-window mode each, and requires every run to
-// produce identical completion logs and identical per-node RoCE telemetry.
+// produce identical completion logs and identical per-node NIC telemetry.
 func TestShardedClusterRingIdentical(t *testing.T) {
 	old := sim.Sharded
 	defer func() { sim.Sharded = old }()
@@ -165,9 +103,10 @@ func TestShardedClusterRingIdentical(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, parallel := range []bool{false, true} {
 			sim.Sharded = parallel
-			cfg := DefaultConfig(nodes)
-			cfg.Window = sim.Time(1) << 40
-			sc := NewShardedCluster(cfg, shards)
+			sc := dcSharded(t, fmt.Sprintf("fat-tree:nodes=%d,pod=1", nodes), shards, sim.Time(1)<<40)
+			if sc.Part.Shards != shards {
+				t.Fatalf("asked for %d shards, built %d", shards, sc.Part.Shards)
+			}
 			logs := ringWorkload(sc, 5)
 			end := sc.RunSim()
 			stats := fmt.Sprintf("end=%v", end)

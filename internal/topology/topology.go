@@ -72,22 +72,6 @@ type Config struct {
 	XbarBW float64
 	Window sim.Time // telemetry sampling window; 0 = default
 	Drives []DriveSpec
-	// Shards > 1 builds the cluster on a sharded simulation engine
-	// (sim.NewSharded) instead of a plain one. The cluster itself is
-	// colocated on shard 0: its link graph forms one fluid fair-share
-	// domain — a single cross-node flow couples both nodes' rate
-	// allocations instantaneously (see InterNode), which is a zero-lookahead
-	// dependency no conservative partition may split. Partitionable
-	// workloads that exchange traffic through store-and-forward handoffs
-	// use NewShardedCluster instead, which spreads sub-clusters across
-	// shards for real parallelism.
-	Shards int
-	// FirstNode offsets the global node numbering used in link names and
-	// fabric.Link.Node, so sub-clusters of a partitioned simulation expose
-	// the same telemetry identity they would have in one monolithic
-	// cluster. Accessor methods keep taking node indices local to this
-	// cluster.
-	FirstNode int
 	// What-if overrides for sensitivity studies; zero selects the paper's
 	// Table III value.
 	RoCEBW       float64 // per-NIC bidirectional aggregate
@@ -147,11 +131,6 @@ type Cluster struct {
 	Eng *sim.Engine
 	Net *fabric.Network
 
-	// Sharded is the coordinating engine when the cluster was built with
-	// Cfg.Shards > 1 (Eng is then its shard 0); nil otherwise. Run the
-	// simulation through RunSim so the right engine drives it.
-	Sharded *sim.ShardedEngine
-
 	dram    [][]*fabric.Link           // [node][socket], 8 channels aggregated
 	xgmi    []*fabric.Link             // [node], 3 links aggregated
 	xbar    [][]*fabric.Link           // [node][socket]
@@ -164,51 +143,18 @@ type Cluster struct {
 	all     []*fabric.Link
 }
 
-// New builds the cluster and its simulation engine. With Cfg.Shards > 1 the
-// engine is a sharded one and the whole cluster lands on shard 0 (see the
-// Shards field for why); otherwise a plain serial engine.
+// New builds the cluster on a fresh serial simulation engine. The testbed is
+// one fluid fair-share domain — a single cross-node flow couples both nodes'
+// rate allocations instantaneously (see InterNode) — so no conservative
+// partition can split it, and it always runs on one engine.
 func New(cfg Config) *Cluster {
-	if cfg.Shards > 1 {
-		se := sim.NewSharded(cfg.Shards)
-		c := build(se.Shard(0), cfg)
-		c.Sharded = se
-		return c
-	}
-	return build(sim.New(), cfg)
-}
-
-// RunSim drives the simulation to completion on whichever engine the cluster
-// was built with, shutting down a sharded engine's workers afterwards. Only
-// the cluster that owns the engine may call it (sub-clusters of a
-// ShardedCluster share theirs; run via the ShardedCluster instead).
-func (c *Cluster) RunSim() sim.Time {
-	if c.Sharded != nil {
-		defer c.Sharded.Close()
-		return c.Sharded.Run()
-	}
-	return c.Eng.Run()
-}
-
-// SimLiveProcs reports live processes on the cluster's engine (all shards of
-// a sharded one) — the post-run leak check.
-func (c *Cluster) SimLiveProcs() int {
-	if c.Sharded != nil {
-		return c.Sharded.LiveProcs()
-	}
-	return c.Eng.LiveProcs()
-}
-
-// build wires the link graph onto eng.
-func build(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.Nodes < 1 {
 		panic("topology: need at least one node")
-	}
-	if cfg.FirstNode < 0 {
-		panic("topology: negative FirstNode")
 	}
 	if cfg.XbarBW <= 0 {
 		cfg.XbarBW = DefaultXbarBW
 	}
+	eng := sim.New()
 	c := &Cluster{
 		Cfg:     cfg,
 		Eng:     eng,
@@ -223,27 +169,26 @@ func build(eng *sim.Engine, cfg Config) *Cluster {
 		return l
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		gn := cfg.FirstNode + n // global node id for names and Link.Node
 		var dramRow, xbarRow, gpuRow, nicRow, roceRow []*fabric.Link
 		for s := 0; s < SocketsPerNode; s++ {
-			dramRow = append(dramRow, mk(fmt.Sprintf("n%d/dram%d", gn, s), fabric.DRAM, gn, DRAMChannelBW*DRAMChannels))
-			xbarRow = append(xbarRow, mk(fmt.Sprintf("n%d/xbar%d", gn, s), fabric.IODXbar, gn, cfg.XbarBW))
-			nicRow = append(nicRow, mk(fmt.Sprintf("n%d/pcie-nic%d", gn, s), fabric.PCIeNIC, gn, PCIeNICLinkBW))
+			dramRow = append(dramRow, mk(fmt.Sprintf("n%d/dram%d", n, s), fabric.DRAM, n, DRAMChannelBW*DRAMChannels))
+			xbarRow = append(xbarRow, mk(fmt.Sprintf("n%d/xbar%d", n, s), fabric.IODXbar, n, cfg.XbarBW))
+			nicRow = append(nicRow, mk(fmt.Sprintf("n%d/pcie-nic%d", n, s), fabric.PCIeNIC, n, PCIeNICLinkBW))
 			roceBW := RoCELinkBW
 			if cfg.RoCEBW > 0 {
 				roceBW = cfg.RoCEBW
 			}
-			roceRow = append(roceRow, mk(fmt.Sprintf("n%d/roce%d", gn, s), fabric.RoCE, gn, roceBW))
+			roceRow = append(roceRow, mk(fmt.Sprintf("n%d/roce%d", n, s), fabric.RoCE, n, roceBW))
 		}
 		for g := 0; g < GPUsPerNode; g++ {
-			gpuRow = append(gpuRow, mk(fmt.Sprintf("n%d/pcie-gpu%d", gn, g), fabric.PCIeGPU, gn, PCIeGPULinkBW))
+			gpuRow = append(gpuRow, mk(fmt.Sprintf("n%d/pcie-gpu%d", n, g), fabric.PCIeGPU, n, PCIeGPULinkBW))
 		}
 		c.dram = append(c.dram, dramRow)
 		c.xbar = append(c.xbar, xbarRow)
 		c.pcieGPU = append(c.pcieGPU, gpuRow)
 		c.pcieNIC = append(c.pcieNIC, nicRow)
 		c.roce = append(c.roce, roceRow)
-		c.xgmi = append(c.xgmi, mk(fmt.Sprintf("n%d/xgmi", gn), fabric.XGMI, gn, XGMILinkBW*XGMILinks))
+		c.xgmi = append(c.xgmi, mk(fmt.Sprintf("n%d/xgmi", n), fabric.XGMI, n, XGMILinkBW*XGMILinks))
 
 		var pairs []*fabric.Link
 		for a := 0; a < GPUsPerNode; a++ {
@@ -252,7 +197,7 @@ func build(eng *sim.Engine, cfg Config) *Cluster {
 				if cfg.NVLinkPairBW > 0 {
 					pairBW = cfg.NVLinkPairBW
 				}
-				l := mk(fmt.Sprintf("n%d/nvlink%d-%d", gn, a, b), fabric.NVLink, gn, pairBW)
+				l := mk(fmt.Sprintf("n%d/nvlink%d-%d", n, a, b), fabric.NVLink, n, pairBW)
 				// nvidia-smi counts every byte at both endpoint GPUs,
 				// and the paper sums per-GPU counters per node.
 				l.CountWeight = 2
@@ -266,8 +211,8 @@ func build(eng *sim.Engine, cfg Config) *Cluster {
 		if d.Node >= cfg.Nodes || d.Socket >= SocketsPerNode {
 			panic(fmt.Sprintf("topology: drive %v outside cluster", d))
 		}
-		c.nvmePCI[d] = mk(fmt.Sprintf("n%d/pcie-nvme%d.%d", cfg.FirstNode+d.Node, d.Socket, d.Slot),
-			fabric.PCIeNVME, cfg.FirstNode+d.Node, PCIeNVMELinkBW)
+		c.nvmePCI[d] = mk(fmt.Sprintf("n%d/pcie-nvme%d.%d", d.Node, d.Socket, d.Slot),
+			fabric.PCIeNVME, d.Node, PCIeNVMELinkBW)
 	}
 	return c
 }

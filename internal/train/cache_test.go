@@ -112,7 +112,8 @@ func TestRunCacheStatsProbe(t *testing.T) {
 }
 
 // TestScenarioKeyStability pins that ScenarioKey is interned (two renders of
-// one configuration share one backing string) and rejects opaque configs.
+// one configuration share one backing string), rejects opaque configs, and
+// keeps fabrics that differ only in oversubscription or radix apart.
 func TestScenarioKeyStability(t *testing.T) {
 	a, ok := smallCfg(0).ScenarioKey()
 	if !ok {
@@ -126,5 +127,19 @@ func TestScenarioKeyStability(t *testing.T) {
 	faulty.FaultInjection = func(*topology.Cluster) {}
 	if _, ok := faulty.ScenarioKey(); ok {
 		t.Fatal("ScenarioKey accepted an opaque FaultInjection config")
+	}
+	dc := Config{Strategy: ZeRO3, Model: model.NewGPT(8), Topo: "fat-tree:nodes=16", Iterations: 2, Warmup: 1}
+	keys := map[string]string{}
+	for _, topo := range []string{"fat-tree:nodes=16", "fat-tree:nodes=16,oversub=32", "fat-tree:nodes=16,radix=32"} {
+		cfg := dc
+		cfg.Topo = topo
+		key, ok := cfg.ScenarioKey()
+		if !ok {
+			t.Fatalf("ScenarioKey rejected %s", topo)
+		}
+		if prev, dup := keys[key]; dup {
+			t.Errorf("%s and %s share a scenario key", prev, topo)
+		}
+		keys[key] = topo
 	}
 }

@@ -116,16 +116,15 @@ type Config struct {
 	// Rewrite applies a schedule-level ablation (see Rewrite) to the
 	// compiled iteration program.
 	Rewrite Rewrite
-	// Shards > 1 runs the simulation on a sharded engine (sim.ShardedEngine,
-	// gated by sim.Sharded), <= 1 on the plain serial engine. On the testbed
-	// topology a training run is one fluid fair-share domain — a single
-	// cross-node collective flow couples every node's rate allocation with
-	// zero lookahead — so the model is colocated on shard 0 (see
-	// topology.Config.Shards) and the knob's value is the A/B determinism
-	// surface, not a speedup for that workload. On a generated datacenter
-	// fabric (Topo below) with a hierarchical Algo, the cross-node legs are
-	// store-and-forward handoffs, the cluster shards along its pod seams,
-	// and -shards genuinely parallelizes the run.
+	// Shards requests a simulation shard count; it is clamped to the
+	// partitions the fabric has. The testbed is one fluid fair-share domain
+	// — a single cross-node collective flow couples every node's rate
+	// allocation with zero lookahead — so it always runs on one plain engine
+	// and the knob changes nothing there. On a generated datacenter fabric
+	// (Topo below) with a hierarchical Algo, the cross-node legs are
+	// store-and-forward handoffs, the cluster shards along its pod seams (up
+	// to the pod count), and the run parallelizes; a flat Algo is again one
+	// domain and runs on one shard. Output never depends on the value.
 	Shards int
 	// Topo selects the fabric: empty or topology.PaperTopo runs the paper's
 	// two-node XE8545 testbed; a topology.ParseTopoSpec string (e.g.

@@ -19,7 +19,7 @@ import (
 // the part the testbed cannot show: every node runs as its own simulation
 // process on its home shard, and with a hierarchical algorithm the
 // cross-node legs are store-and-forward handoffs, so the -shards knob
-// parallelizes the run instead of colocating it.
+// parallelizes the run along the fabric's pod seams.
 func runDC(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -40,16 +40,13 @@ func runDC(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	// A flat collective is one fluid fair-share domain: it runs on one shard
+	// whatever -shards asks for.
 	shards := cfg.Shards
-	if shards < 1 {
+	if algo == collective.AlgoFlat {
 		shards = 1
 	}
-	var sc *topology.DCShardedCluster
-	if algo == collective.AlgoFlat {
-		sc, err = topology.NewDCColocated(dcCfg, shards)
-	} else {
-		sc, err = topology.NewDCSharded(dcCfg, shards)
-	}
+	sc, err := topology.NewDCSharded(dcCfg, shards)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,6 @@ func newRunner(cfg Config) (*Runner, error) {
 	}
 	topoCfg.Window = cfg.Window
 	topoCfg.RoCEBW = cfg.RoCEBW
-	topoCfg.Shards = cfg.Shards
 	if cfg.XbarBW > 0 {
 		topoCfg.XbarBW = cfg.XbarBW
 	}
@@ -259,8 +258,8 @@ func Run(cfg Config) (*Result, error) {
 			p.Sleep(slice)
 		}
 	})
-	cluster.RunSim()
-	if n := cluster.SimLiveProcs(); n != 0 {
+	cluster.Eng.Run()
+	if n := cluster.Eng.LiveProcs(); n != 0 {
 		return nil, fmt.Errorf("train: simulation deadlocked with %d live processes", n)
 	}
 	cluster.Net.Quiesce()

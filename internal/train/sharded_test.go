@@ -8,9 +8,9 @@ import (
 	"llmbw/internal/sim"
 )
 
-// runSharded runs cfg with the given shard count and sharded-execution mode,
-// returning the serialized summary (and Chrome trace when cfg.Trace is set):
-// the full observable surface the sharded engine must keep byte-identical.
+// runSharded runs cfg with the given shard request and sharded-execution
+// mode, returning the serialized summary (and Chrome trace when cfg.Trace is
+// set): the full observable surface that must not depend on -shards.
 func runSharded(t *testing.T, cfg Config, shards int, parallel bool) []byte {
 	t.Helper()
 	defer func(s bool) { sim.Sharded = s }(sim.Sharded)
@@ -32,10 +32,11 @@ func runSharded(t *testing.T, cfg Config, shards int, parallel bool) []byte {
 	return buf.Bytes()
 }
 
-// TestShardedMatchesUnsharded is the sharded-engine A/B across every
-// strategy and offload shape: a run on the plain serial engine, the same run
-// replayed through the sharded engine's serial merge loop, and the same run
-// under parallel windows must serialize identically — summary and trace.
+// TestShardedMatchesUnsharded pins that testbed output does not depend on
+// -shards, across every strategy and offload shape: the testbed is one fluid
+// domain and always runs on one plain engine, so runs requesting 2 or 4
+// shards, under either sim.Sharded mode, must serialize identically to the
+// unrequested run — summary and trace.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	for _, c := range irCases() {
 		cfg := c.cfg
@@ -57,9 +58,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesAcrossFastPaths holds the multi-node ZeRO-3 shape, on
-// the plain engine and on the sharded engine in serial merge and under
-// parallel windows, to its schedule_shapes.golden section. That section was
+// TestShardedMatchesAcrossFastPaths holds the multi-node ZeRO-3 shape, run
+// with no shard request and with 2 and 4 requested (under serial merge and
+// parallel windows), to its schedule_shapes.golden section. That section was
 // recorded while the sharded engine matched the plain one in every
 // combination of the fast paths and the rebuild-per-issue, per-flow-admission
 // and imperative-coroutine paths they replaced; those paths are retired, and
