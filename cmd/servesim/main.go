@@ -17,10 +17,10 @@
 //	POST /serve   {"arrival":"open","rate_per_sec":8,"disaggregated":true,...}
 //	              → an inference-serving scenario's latency/goodput summary;
 //	              with ?log=1, the per-request NDJSON log instead.
-//	GET  /stats   → cache-tier counters (hits, misses, evictions,
-//	              invalidations) for every tier — train.results,
-//	              serve.results, plans, topologies — and the concurrency
-//	              bound.
+//	GET  /stats   → each cache tier's cap, entries, hits, misses and
+//	              evictions — collective.shapes, serve.results,
+//	              topology.blueprints, train.results, train.schedules — and
+//	              the concurrency bound.
 //	GET  /healthz → 200 "ok" while serving, 503 "draining" once shutdown
 //	              has begun.
 //

@@ -285,7 +285,7 @@ type flatShape struct {
 }
 
 // shapeCache is the collective tier of the warm-artifact store, keyed by
-// (algo|op|spec|payload). Shapes are capacity-independent: epoch 0.
+// (algo|op|spec|payload). Shapes are capacity-independent.
 var shapeCache = scenario.New("collective.shapes", 256)
 
 func makeHierShape(algo Algo, op Op, cfg topology.DCConfig, payload float64) *hierShape {
@@ -349,8 +349,8 @@ func makeFlatShape(op Op, cfg topology.DCConfig, payload float64) *flatShape {
 // signature through the shape cache.
 func (g *DCGroup) shapeFor(op Op, payload float64) any {
 	cfg := g.sc.Cfg
-	key := scenario.Intern(fmt.Sprintf("%v|%v|%s|%g", g.algo, op, cfg.Spec(), payload))
-	v, _ := shapeCache.Do(key, 0, func() (any, error) {
+	key := fmt.Sprintf("%v|%v|%s|%g", g.algo, op, cfg.Spec(), payload)
+	v, _ := shapeCache.Do(key, func() (any, error) {
 		if g.algo == AlgoFlat {
 			return makeFlatShape(op, cfg, payload), nil
 		}

@@ -7,8 +7,7 @@ import (
 )
 
 // Cache is one tier of the warm-artifact store: a concurrency-safe,
-// size-bounded LRU with singleflight computation and capacity-epoch-aware
-// invalidation.
+// size-bounded LRU with singleflight computation.
 //
 //   - Singleflight: concurrent Do calls for one key share a single compute;
 //     every caller gets the same value (and the same error — deterministic
@@ -17,13 +16,9 @@ import (
 //     entries. Values are immutable shared pointers, so eviction only drops
 //     the cache's reference — consumers holding an evicted artifact keep a
 //     perfectly valid one; a later request simply recomputes.
-//   - Epochs: an entry is stamped with the epoch presented when it was
-//     computed (fabric.Network.CapacityEpoch for capacity-derived artifacts,
-//     0 for artifacts that are pure functions of the scenario). Presenting a
-//     different epoch invalidates the stale entry in place of serving it —
-//     the cross-run mirror of the in-fabric capEpoch revalidation fence.
 //
-// Counters (hits, misses, evictions, invalidations) feed the /stats probe of
+// Every cached artifact is a pure function of its key, so an entry never
+// goes stale. Counters (hits, misses, evictions) feed the /stats probe of
 // cmd/servesim; misses count exactly the computations started, which is what
 // the request-coalescing tests pin.
 type Cache struct {
@@ -35,13 +30,12 @@ type Cache struct {
 	// Intrusive LRU list: mru is the most-, lru the least-recently-used.
 	mru, lru *entry
 
-	hits, misses, evictions, invalidations int64
+	hits, misses, evictions int64
 }
 
 // entry is one cached artifact (or one in-flight computation of it).
 type entry struct {
 	key        string
-	epoch      int64
 	prev, next *entry
 
 	once sync.Once
@@ -71,15 +65,13 @@ func New(name string, capacity int) *Cache {
 // Name returns the tier name used in stats.
 func (c *Cache) Name() string { return c.name }
 
-// Do returns the artifact for key at the given epoch, computing it with fn
-// on a miss. Concurrent calls for the same key coalesce onto one fn
-// invocation; an entry stamped with a different epoch is invalidated and
-// recomputed. The returned value is shared: callers must treat it as
-// immutable.
+// Do returns the artifact for key, computing it with fn on a miss.
+// Concurrent calls for the same key coalesce onto one fn invocation. The
+// returned value is shared: callers must treat it as immutable.
 //
 //lint:cold
-func (c *Cache) Do(key string, epoch int64, fn func() (any, error)) (any, error) {
-	e := c.acquire(key, epoch)
+func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
+	e := c.acquire(key)
 	e.once.Do(func() {
 		e.val, e.err = fn()
 		e.done.Store(true)
@@ -87,23 +79,16 @@ func (c *Cache) Do(key string, epoch int64, fn func() (any, error)) (any, error)
 	return e.val, e.err
 }
 
-// Get is the warm replay path: it returns the completed artifact for key at
-// the given epoch, or ok=false on a miss, an epoch mismatch (which
-// invalidates the stale entry), or an entry still being computed. It
-// allocates nothing.
+// Get is the warm replay path: it returns the completed artifact for key,
+// or ok=false on a miss or an entry still being computed. It allocates
+// nothing.
 //
 //lint:steady
-func (c *Cache) Get(key string, epoch int64) (any, bool) {
+func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	if e.epoch != epoch {
-		c.invalidations++
-		c.remove(e)
 		c.mu.Unlock()
 		return nil, false
 	}
@@ -120,25 +105,19 @@ func (c *Cache) Get(key string, epoch int64) (any, bool) {
 }
 
 // acquire resolves key to its live entry, creating (and inserting) a fresh
-// one on miss or epoch mismatch and evicting beyond the cap.
+// one on miss and evicting beyond the cap.
 //
 //lint:cold
-func (c *Cache) acquire(key string, epoch int64) *entry {
+func (c *Cache) acquire(key string) *entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		if e.epoch == epoch {
-			c.hits++
-			c.touch(e)
-			return e
-		}
-		// Stale epoch: the artifact derives from state that has changed
-		// (e.g. a SetCapacity bump); drop it and compute fresh.
-		c.invalidations++
-		c.remove(e)
+		c.hits++
+		c.touch(e)
+		return e
 	}
 	c.misses++
-	e := &entry{key: key, epoch: epoch}
+	e := &entry{key: key}
 	c.entries[key] = e
 	c.pushFront(e)
 	c.evict()
@@ -223,13 +202,12 @@ func (c *Cache) Len() int {
 
 // Stats is one tier's counter snapshot.
 type Stats struct {
-	Name          string `json:"name"`
-	Cap           int    `json:"cap"`
-	Entries       int    `json:"entries"`
-	Hits          int64  `json:"hits"`
-	Misses        int64  `json:"misses"`
-	Evictions     int64  `json:"evictions"`
-	Invalidations int64  `json:"invalidations"`
+	Name      string `json:"name"`
+	Cap       int    `json:"cap"`
+	Entries   int    `json:"entries"`
+	Hits      int64  `json:"hits"`
+	Misses    int64  `json:"misses"`
+	Evictions int64  `json:"evictions"`
 }
 
 // Stats snapshots the cache's counters.
@@ -237,13 +215,12 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Name:          c.name,
-		Cap:           c.cap,
-		Entries:       len(c.entries),
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
+		Name:      c.name,
+		Cap:       c.cap,
+		Entries:   len(c.entries),
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	"llmbw/internal/scenario"
-	"llmbw/internal/topology"
 )
 
 func put(t *testing.T, c *scenario.Cache, key string, val any) {
 	t.Helper()
-	if _, err := c.Do(key, 0, func() (any, error) { return val, nil }); err != nil {
+	if _, err := c.Do(key, func() (any, error) { return val, nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -21,17 +20,17 @@ func put(t *testing.T, c *scenario.Cache, key string, val any) {
 func TestCacheHitMissCounters(t *testing.T) {
 	c := scenario.New("test.counters", 8)
 	put(t, c, "a", 1)
-	v, err := c.Do("a", 0, func() (any, error) {
+	v, err := c.Do("a", func() (any, error) {
 		t.Fatal("hit must not recompute")
 		return nil, nil
 	})
 	if err != nil || v.(int) != 1 {
 		t.Fatalf("Do(a) = %v, %v; want 1", v, err)
 	}
-	if _, ok := c.Get("a", 0); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("Get(a) missed after Do")
 	}
-	if _, ok := c.Get("b", 0); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("Get(b) hit without insert")
 	}
 	s := c.Stats()
@@ -45,17 +44,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	put(t, c, "a", "A")
 	put(t, c, "b", "B")
 	// Touch a so b is the least recently used.
-	if _, ok := c.Get("a", 0); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("Get(a) missed")
 	}
 	put(t, c, "c", "C")
-	if _, ok := c.Get("b", 0); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction; want it dropped as LRU")
 	}
-	if _, ok := c.Get("a", 0); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted; want it retained as recently used")
 	}
-	if _, ok := c.Get("c", 0); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c evicted; want the fresh insert retained")
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {
@@ -77,7 +76,7 @@ func TestCacheSetCapEvictsDown(t *testing.T) {
 	}
 	// The three most recently used survive.
 	for i := 5; i < 8; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i), 0); !ok {
+		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
 			t.Fatalf("k%d evicted; want the MRU tail retained", i)
 		}
 	}
@@ -94,7 +93,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.Do("shared", 0, func() (any, error) {
+			v, err := c.Do("shared", func() (any, error) {
 				computes.Add(1)
 				return "result", nil
 			})
@@ -121,61 +120,14 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheCachesDeterministicErrors(t *testing.T) {
 	c := scenario.New("test.errors", 8)
 	want := errors.New("config does not fit")
-	if _, err := c.Do("bad", 0, func() (any, error) { return nil, want }); err != want {
+	if _, err := c.Do("bad", func() (any, error) { return nil, want }); err != want {
 		t.Fatalf("Do = %v; want the compute error", err)
 	}
-	if _, err := c.Do("bad", 0, func() (any, error) {
+	if _, err := c.Do("bad", func() (any, error) {
 		t.Fatal("error entries must be served, not recomputed")
 		return nil, nil
 	}); err != want {
 		t.Fatalf("second Do = %v; want the cached error", err)
-	}
-}
-
-// TestCacheEpochInvalidation exercises the capacity-epoch fence with a real
-// SetCapacity bump: an artifact derived from a link capacity is cached at the
-// network's capacity epoch; degrading the link bumps the epoch, so the next
-// fetch invalidates the stale artifact and recomputes against the new
-// capacity — the cross-run mirror of the in-fabric capEpoch revalidation.
-func TestCacheEpochInvalidation(t *testing.T) {
-	c := scenario.New("test.epoch", 8)
-	cl := topology.New(topology.DefaultConfig(2))
-	link := cl.RoCELink(topology.NIC{Node: 0, Socket: 0})
-
-	capAt := func() (any, error) { return link.Capacity(), nil }
-	v, err := c.Do("roce-cap", cl.Net.CapacityEpoch(), capAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nominal := v.(float64)
-
-	// Degrade the link: the network's capacity epoch bumps.
-	before := cl.Net.CapacityEpoch()
-	cl.Net.SetCapacity(link, nominal/2)
-	after := cl.Net.CapacityEpoch()
-	if after == before {
-		t.Fatal("SetCapacity did not bump the capacity epoch")
-	}
-
-	// The stale-epoch probe must not serve the old artifact.
-	if _, ok := c.Get("roce-cap", after); ok {
-		t.Fatal("Get served a stale-epoch artifact")
-	}
-	v, err = c.Do("roce-cap", after, capAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.(float64); got != nominal/2 {
-		t.Fatalf("recomputed artifact = %g; want the degraded capacity %g", got, nominal/2)
-	}
-	s := c.Stats()
-	if s.Invalidations != 1 {
-		t.Fatalf("invalidations = %d; want exactly 1 (Get invalidated, Do recomputed)", s.Invalidations)
-	}
-	if s.Misses != 2 {
-		// Misses count computations: the first Do and the recomputing Do.
-		// The invalidating Get counts as an invalidation, not a miss.
-		t.Fatalf("misses = %d; want 2", s.Misses)
 	}
 }
 
@@ -187,7 +139,7 @@ func TestCacheWarmGetAllocFree(t *testing.T) {
 	put(t, c, "warm", val)
 	key := "warm"
 	allocs := testing.AllocsPerRun(1000, func() {
-		v, ok := c.Get(key, 0)
+		v, ok := c.Get(key)
 		if !ok || v != val {
 			t.Fatal("warm Get missed")
 		}
@@ -206,7 +158,7 @@ func TestCacheReset(t *testing.T) {
 		t.Fatalf("Len = %d after Reset; want 0", c.Len())
 	}
 	var recomputed bool
-	if _, err := c.Do("a", 0, func() (any, error) { recomputed = true; return 1, nil }); err != nil {
+	if _, err := c.Do("a", func() (any, error) { recomputed = true; return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !recomputed {
@@ -234,13 +186,5 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	}
 	if s, ok := seen["test.snap.b"]; !ok || s.Entries != 1 {
 		t.Fatalf("snapshot missing test.snap.b or wrong entries: %+v", s)
-	}
-}
-
-func TestIntern(t *testing.T) {
-	a := scenario.Intern("scenario-key-" + fmt.Sprint(1))
-	b := scenario.Intern("scenario-key-" + fmt.Sprint(1))
-	if a != b {
-		t.Fatal("interned copies differ in value")
 	}
 }

@@ -1,8 +1,8 @@
 // Package scenario is the warm-artifact layer behind the long-lived
-// simulation service: canonical interned scenario keys plus a family of
-// size-bounded, epoch-aware, singleflight LRU caches holding the expensive
-// intermediate artifacts a simulation run compiles — memoized run results,
-// compiled schedule-IR programs, datacenter topology blueprints, and
+// simulation service: a family of size-bounded, singleflight LRU caches
+// keyed by canonical scenario keys and holding the expensive intermediate
+// artifacts a simulation run compiles — memoized run results, compiled
+// schedule-IR programs, datacenter topology blueprints, and
 // hierarchical-collective plan shapes. The experiment suite and cmd/servesim
 // are sweep workloads: hundreds of near-identical configurations differing
 // in one knob. Artifacts that depend only on a shared prefix of the
@@ -10,29 +10,13 @@
 // once and replayed from here, so a warm request skips straight to the parts
 // of the work its configuration actually changes.
 //
+// A key is rendered from every configuration field the artifact depends on,
+// so an artifact is a pure function of its key: entries are never
+// invalidated, only evicted beyond a tier's cap.
+//
 // The package is deliberately leaf-level (it imports nothing from the
 // simulator), so every layer — train, collective, topology, the CLIs and the
 // daemon — can share one cache substrate without import cycles. Values are
 // immutable by contract: a cached artifact is shared across concurrent
 // consumers and must never be mutated after Do's compute function returns.
 package scenario
-
-import "sync"
-
-// interned is the process-wide canonical-key table. Scenario keys are
-// rendered repeatedly from configurations (every cache probe re-derives the
-// same string); interning collapses the copies so cache maps, stats and logs
-// all share one backing string per distinct scenario. The table only grows —
-// it is bounded by the number of distinct scenarios a process touches, which
-// the LRU caches already assume is sweep-sized, not adversarial.
-var interned sync.Map // string -> string
-
-// Intern returns the canonical shared copy of s, storing s itself on first
-// sight.
-func Intern(s string) string {
-	if v, ok := interned.Load(s); ok {
-		return v.(string)
-	}
-	v, _ := interned.LoadOrStore(s, s)
-	return v.(string)
-}

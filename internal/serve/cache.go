@@ -16,8 +16,7 @@ var runCache = scenario.New("serve.results", DefaultRunCacheCap)
 // RunCached executes the scenario, reusing the Result of an identical
 // earlier run in this process.
 func RunCached(cfg Config) (*Result, error) {
-	key := scenario.Intern(cfg.withDefaults().ScenarioKey())
-	v, err := runCache.Do(key, 0, func() (any, error) {
+	v, err := runCache.Do(cfg.withDefaults().ScenarioKey(), func() (any, error) {
 		res, err := Run(cfg)
 		if err != nil {
 			return nil, err

@@ -4,16 +4,18 @@ import (
 	"llmbw/internal/collective"
 	"llmbw/internal/model"
 	"llmbw/internal/schedule"
+	"llmbw/internal/sim"
 	"llmbw/internal/trace"
 )
 
 // The serving compilers are the second client of the schedule IR (after
-// internal/train's strategy compilers): a prefill pass and a decode step are
-// each a tiny compiled program, replayed by the pooled executor so the
-// steady token loop allocates nothing. Programs are keyed by shape — the
-// prompt bucket for prefill, (batch, context bucket) for decode — and
-// compiled eagerly for every shape the generated workload can present, so
-// the serving loops only ever look programs up.
+// internal/train's strategy compilers): on the testbed, a prefill pass and a
+// decode step are each a tiny compiled program, replayed by the pooled
+// executor so the steady token loop allocates nothing. Programs are keyed by
+// shape — the prompt bucket for prefill, (batch, context bucket) for
+// decode — and compiled eagerly for every shape the generated workload can
+// present, so the serving loops only ever look programs up. Both fabrics'
+// step models share the roofline kernel times below.
 
 // promptBucket quantizes a prompt length to its program bucket (rounded up,
 // never zero).
@@ -51,54 +53,60 @@ func tpAllReducePayload(g model.GPT, t int) float64 {
 	return float64(g.Layers) * float64(t) * float64(g.Hidden) * model.FP16Bytes
 }
 
-// compilePrefill builds the prefill program for a prompt bucket of pb
-// tokens: one roofline kernel span (compute-bound for realistic prompts),
-// the two aggregated tensor-parallel all-reduces, and — under disaggregated
-// placement — the blocking KV-cache shipment to the decode node, sized as
-// each rank's KV shard. Cold path: runs once per bucket at runner
-// construction.
+// prefillTime returns the roofline time of a prompt pass over a pb-token
+// bucket on one tensor-parallel rank: compute-bound for realistic prompts,
+// with HBM traffic of the weight sweep plus the KV writes of the new tokens.
+func (r *Runner) prefillTime(pb int) sim.Time {
+	flops := prefillFLOPs(r.cfg.Model, pb) / float64(r.cfg.TensorParallel)
+	bytes := r.weightBytes + float64(pb)*r.kvPerTok
+	return r.gpu.RooflineTime(flops, bytes)
+}
+
+// decodeTime returns the roofline time of one decode step of a batch of
+// size batch whose longest context lands in bucket cb: memory-bound, the
+// weight sweep plus the batch's KV reads at the bucket's upper edge.
+func (r *Runner) decodeTime(batch, cb int) sim.Time {
+	flops := 2 * float64(r.cfg.Model.Params()) * float64(batch) / float64(r.cfg.TensorParallel)
+	bytes := r.weightBytes + float64(batch)*float64(cb*CtxBucket)*r.kvPerTok
+	return r.gpu.RooflineTime(flops, bytes)
+}
+
+// compilePrefill builds the testbed's prefill program for a prompt bucket of
+// pb tokens: one roofline kernel span, the two aggregated tensor-parallel
+// all-reduces, and — under disaggregated placement — the blocking KV-cache
+// shipment to the decode node, sized as each rank's KV shard. Cold path:
+// runs once per bucket at runner construction.
 //
 //lint:cold
-func (r *Runner) compilePrefill(pb int) *schedule.Schedule {
+func (t *testbedSteps) compilePrefill(pb int) *schedule.Schedule {
 	b := schedule.NewBuilder()
 	b.Phase = trace.PhasePrefill
-	g := r.cfg.Model
-	tp := float64(r.cfg.TensorParallel)
-	flops := prefillFLOPs(g, pb) / tp
-	// HBM traffic: the weight sweep plus the KV writes of the new tokens.
-	bytes := r.weightBytes + float64(pb)*r.kvPerTok
-	b.Compute(trace.Gemm, r.gpu.RooflineTime(flops, bytes))
-	if r.cfg.TensorParallel > 1 {
-		payload := tpAllReducePayload(g, pb)
-		b.SyncOn(r.preGroup, collective.AllReduce, payload, 0, 2)
-		b.SyncOn(r.preGroup, collective.AllReduce, payload, 0, 2)
+	b.Compute(trace.Gemm, t.r.prefillTime(pb))
+	if t.r.cfg.TensorParallel > 1 {
+		payload := tpAllReducePayload(t.r.cfg.Model, pb)
+		b.SyncOn(t.preGroup, collective.AllReduce, payload, 0, 2)
+		b.SyncOn(t.preGroup, collective.AllReduce, payload, 0, 2)
 	}
-	if r.cfg.Disaggregated {
-		b.Xfer(trace.OffloadCopy, float64(pb)*r.kvPerTok)
+	if t.pre != t.dec {
+		b.Xfer(trace.OffloadCopy, float64(pb)*t.r.kvPerTok)
 	}
 	return b.S
 }
 
-// compileDecode builds the decode-step program for a batch of size batch
-// whose longest context lands in bucket cb: one memory-bound roofline span
-// (the weight sweep plus the batch's KV reads at the bucket's upper edge)
+// compileDecode builds the testbed's decode-step program for a batch of
+// size batch whose longest context lands in bucket cb: one roofline span
 // and the two aggregated per-token tensor-parallel all-reduces. Cold path:
 // runs once per (batch, bucket) shape at runner construction.
 //
 //lint:cold
-func (r *Runner) compileDecode(batch, cb int) *schedule.Schedule {
+func (t *testbedSteps) compileDecode(batch, cb int) *schedule.Schedule {
 	b := schedule.NewBuilder()
 	b.Phase = trace.PhaseDecode
-	g := r.cfg.Model
-	tp := float64(r.cfg.TensorParallel)
-	ctx := cb * CtxBucket
-	flops := 2 * float64(g.Params()) * float64(batch) / tp
-	bytes := r.weightBytes + float64(batch)*float64(ctx)*r.kvPerTok
-	b.Compute(trace.Gemm, r.gpu.RooflineTime(flops, bytes))
-	if r.cfg.TensorParallel > 1 {
-		payload := tpAllReducePayload(g, batch)
-		b.SyncOn(r.decGroup, collective.AllReduce, payload, 0, 2)
-		b.SyncOn(r.decGroup, collective.AllReduce, payload, 0, 2)
+	b.Compute(trace.Gemm, t.r.decodeTime(batch, cb))
+	if t.r.cfg.TensorParallel > 1 {
+		payload := tpAllReducePayload(t.r.cfg.Model, batch)
+		b.SyncOn(t.decGroup, collective.AllReduce, payload, 0, 2)
+		b.SyncOn(t.decGroup, collective.AllReduce, payload, 0, 2)
 	}
 	return b.S
 }

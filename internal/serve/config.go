@@ -1,20 +1,22 @@
 // Package serve models LLM inference serving on the same infrastructure
-// stack the training simulator characterizes: the prefill and decode phases
-// of each request are compiled into internal/schedule programs (roofline
-// compute against sustained HBM bandwidth, tensor-parallel all-reduces per
-// decode token through compiled collective plans, KV-cache growth in the
-// memory model) and replayed by the shared executor under a
-// continuous-batching admission loop. Requests arrive open-loop (Poisson),
-// closed-loop, or from an explicit trace; per-request accounting yields
-// TTFT, time-between-tokens, latency percentiles and goodput against SLOs.
+// stack the training simulator characterizes. Requests arrive open-loop
+// (Poisson), closed-loop, or from an explicit trace; one continuous-batching
+// scheduler (Runner) admits them with reserve-ahead KV accounting, and
+// per-request accounting yields TTFT, time-between-tokens, latency
+// percentiles and goodput against SLOs.
 //
-// Two placements are modelled on the paper's testbed: colocated (one node
-// serves both phases; prefill stalls the decode batch exactly as naive
-// continuous batching does) and disaggregated (prefill on node 0, decode on
-// node 1, with each request's KV cache shipped across the RoCE fabric as
-// fabric flows — the bandwidth-sensitive path the what-if studies sweep).
-// Generated datacenter fabrics (fat-tree / rail-only / dragonfly) run a
-// coarser replica-per-node model, mirroring how internal/train treats them.
+// The scheduler serves every fabric over its replicas in two placements:
+// colocated (each replica serves both phases; prefill stalls the decode
+// batch exactly as naive continuous batching does) and disaggregated (a
+// prefill pool ships each request's KV cache to its decode replica as fabric
+// flows — the bandwidth-sensitive path the what-if studies sweep). A fabric
+// supplies only the cost of a prefill pass and of a decode step. The paper's
+// testbed is the one-replica case: its passes are internal/schedule programs
+// (roofline compute against sustained HBM bandwidth, tensor-parallel
+// all-reduces through compiled collective plans, KV shipment across the
+// RoCE fabric) replayed by the shared executor. Generated datacenter fabrics
+// (fat-tree / rail-only / dragonfly) run one coarser replica per node,
+// mirroring how internal/train treats them.
 package serve
 
 import (
@@ -98,14 +100,19 @@ type Config struct {
 	// TensorParallel is the TP degree of one replica (1..4 on the testbed's
 	// 4-GPU nodes).
 	TensorParallel int
-	// Nodes is the testbed node count (1 colocated, 2 for disaggregated).
+	// Nodes is the testbed node count: 1 colocated, 2 disaggregated (the
+	// default of each). A generated fabric takes its node count from Topo,
+	// and the Result reports that count.
 	Nodes int
-	// Disaggregated places prefill on node 0 and decode on node 1, shipping
-	// each admitted request's KV cache across the RoCE fabric.
+	// Disaggregated turns nodes/4 nodes (at least one) into a prefill pool
+	// that ships each admitted request's KV cache to its decode replica on
+	// the remaining nodes; on the testbed, prefill runs on node 0 and decode
+	// on node 1, across the RoCE fabric.
 	Disaggregated bool
-	// Topo selects the fabric: "paper" (default, the testbed Cluster) or a
-	// generated datacenter spec ("fat-tree:nodes=8", "rail-only:nodes=8",
-	// ...) served by the coarse replica-per-node model.
+	// Topo selects the fabric: "paper" (default, the testbed Cluster, one
+	// serving replica) or a generated datacenter spec ("fat-tree:nodes=8",
+	// "rail-only:nodes=8", ...), one coarser replica per node. The same
+	// scheduler serves both; only the step model differs.
 	Topo string
 
 	// Arrival / workload shape.

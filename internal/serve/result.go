@@ -85,15 +85,16 @@ type Result struct {
 	reqs []request // retained for WriteRequestLog
 }
 
-// result assembles the testbed runner's Result.
+// result computes the scenario metrics from the completed request set. The
+// KV peak is the fullest decode replica's. The warmup window is defined in
+// completion order: the first cfg.Warmup completions are excluded from
+// every latency and rate metric.
 func (r *Runner) result(end sim.Time) *Result {
-	return buildResult(r.cfg, r.reqs, end, r.steps, r.batchSum, r.kvPeak, r.kvCap)
-}
-
-// buildResult computes the scenario metrics from the completed request set.
-// The warmup window is defined in completion order: the first cfg.Warmup
-// completions are excluded from every latency and rate metric.
-func buildResult(cfg Config, reqs []request, end sim.Time, steps, batchSum int64, kvPeak, kvCap float64) *Result {
+	cfg, reqs := r.cfg, r.reqs
+	var kvPeak float64
+	for _, rep := range r.replicas {
+		kvPeak = max(kvPeak, rep.kvPeak)
+	}
 	res := &Result{
 		Name:          cfg.Name(),
 		Model:         cfg.Model.String(),
@@ -104,19 +105,19 @@ func buildResult(cfg Config, reqs []request, end sim.Time, steps, batchSum int64
 		Arrival:       cfg.Arrival.String(),
 		Requests:      len(reqs),
 		Makespan:      end,
-		DecodeSteps:   steps,
+		DecodeSteps:   r.steps,
 		KVPeakBytes:   kvPeak,
-		KVCapBytes:    kvCap,
+		KVCapBytes:    r.kvCap,
 		reqs:          reqs,
 	}
 	if cfg.Arrival == OpenLoop {
 		res.OfferedRPS = cfg.RatePerSec
 	}
-	if steps > 0 {
-		res.MeanBatch = float64(batchSum) / float64(steps)
+	if r.steps > 0 {
+		res.MeanBatch = float64(r.batchSum) / float64(r.steps)
 	}
-	if kvCap > 0 {
-		res.KVPeakPercent = 100 * kvPeak / kvCap
+	if r.kvCap > 0 {
+		res.KVPeakPercent = 100 * kvPeak / r.kvCap
 	}
 
 	// Completion order defines the warmup window.

@@ -3,30 +3,42 @@ package serve
 import (
 	"fmt"
 
-	"llmbw/internal/collective"
 	"llmbw/internal/compute"
-	"llmbw/internal/fabric"
 	"llmbw/internal/memory"
-	"llmbw/internal/schedule"
 	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
 
-// Runner executes one serving scenario on the paper's testbed cluster. All
-// per-request state lives in the preallocated request slice and the fixed
-// ready/batch arrays; the steady decode loop (admitReady/decodeStep) only
-// replays pooled executors and mutates that state in place, so warm token
-// generation allocates nothing.
-type Runner struct {
-	cfg     Config
-	cluster *topology.Cluster
-	eng     *sim.Engine
-	gpu     compute.GPUModel
+// stepModel is a fabric's cost of the two serving passes. Each method blocks
+// the calling proc p for the pass's simulated duration; w is p's latch, free
+// for the call's own use.
+type stepModel interface {
+	// prefill runs q's prompt pass on node pre and, when pre != dec, ships
+	// its KV cache to decode node dec.
+	prefill(p *sim.Proc, w *sim.Waiter, q *request, pre, dec int)
+	// decode runs one decode step of a bn-request batch on node, whose
+	// longest context lands in context bucket cb.
+	decode(p *sim.Proc, w *sim.Waiter, node, bn, cb int)
+}
 
-	preGroup *collective.Group             // tensor-parallel group serving prefill
-	decGroup *collective.Group             // tensor-parallel group serving decode
-	preExec  map[int]*schedule.Executor    // by prompt bucket
-	decExec  map[[2]int]*schedule.Executor // by (batch, ctx bucket index)
+// Runner executes one serving scenario: a continuous-batching scheduler over
+// the fabric's serving replicas, with the fabric supplying only its step
+// model. Decode replicas own requests round-robin by id. Disaggregated
+// placement turns nodes/4 nodes (at least one) into a prefill pool that also
+// owns requests round-robin by id and ships each admitted request's KV cache
+// to its decode replica. The testbed is the one-replica case: colocated on
+// node 0, or prefill on node 0 and decode on node 1.
+//
+// All per-request state lives in the preallocated request slice and each
+// replica's fixed ready/batch arrays; the decode loop (admitReady/decodeStep)
+// only mutates that state in place, so with the testbed's pooled executors
+// warm token generation allocates nothing.
+type Runner struct {
+	cfg    Config
+	eng    *sim.Engine     // every serving proc runs on it
+	runSim func() sim.Time // drives the fabric's simulation to completion
+	cost   stepModel
+	gpu    compute.GPUModel
 
 	reqs []request
 
@@ -35,366 +47,326 @@ type Runner struct {
 	kvPerTok    float64 // KV bytes per token
 	kvCap       float64 // KV capacity
 
-	// Live serving state.
-	batch    []*request // current decode batch, dense in [0,bn)
-	bn       int
-	ready    []*request // prefilled, waiting to join the batch (FIFO ring)
-	rHead    int
-	rTail    int
-	inflight int // admitted, not yet completed
-	nextArr  int // admission cursor (requests admit in id order)
-	released int // closed-loop release cursor
-	done     int // completed requests
+	replicas []*replica // decode replicas (colocated: full-service)
+	prefills []*replica // the prefill pool (disaggregated only)
 
-	kvUsed float64
-	kvPeak float64
-
-	// Cross-proc wakeups (disaggregated placement runs prefill and decode as
-	// separate procs; colocated placement runs one proc and never blocks on
-	// these).
-	decodeWaiting  bool
-	prefillWaiting bool
-	decodeIdle     *sim.Waiter
-	prefillIdle    *sim.Waiter
-	stepWaiter     *sim.Waiter // decode executor completion
-	preWaiter      *sim.Waiter // prefill executor completion
-
+	released int   // closed-loop release cursor
+	done     int   // completed requests
 	steps    int64 // decode steps executed
 	batchSum int64 // Σ batch size over steps
 }
 
-// serveEnv binds the serving programs to the live cluster. KV residency is
-// accounted by the runner at admission/completion (exact token counts), not
-// through schedule memory ops (which would be bucket-quantized), so
-// MemAlloc/MemFree are inert; tracing is off on the serving path.
-type serveEnv struct {
-	r       *Runner
-	prefill bool
+// replica is one serving node's scheduler state: a decode replica, which
+// also runs its requests' prompt passes under colocated placement, or a
+// prefill-pool node, which uses only the admission fields.
+type replica struct {
+	node  int        // fabric node index
+	queue []*request // owned requests in id (= arrival) order
+	next  int        // admission cursor into queue
+
+	ready    []*request // prefilled, waiting to join the batch (FIFO ring)
+	rHead    int
+	rTail    int
+	batch    []*request // current decode batch, dense in [0,bn)
+	bn       int
+	inflight int // admitted, not yet completed
+	done     int // completed
+
+	kvUsed float64
+	kvPeak float64
+
+	waiting bool        // parked on w until a completion or handover wakes it
+	w       *sim.Waiter // the node proc's latch, for parking and for steps
 }
 
-func (e serveEnv) Engine() *sim.Engine      { return e.r.eng }
-func (e serveEnv) Network() *fabric.Network { return e.r.cluster.Net }
-
-func (e serveEnv) World() *collective.Group {
-	if e.prefill {
-		return e.r.preGroup
-	}
-	return e.r.decGroup
-}
-
-func (e serveEnv) MemAlloc(float64)                             {}
-func (e serveEnv) MemFree(float64)                              {}
-func (e serveEnv) TraceOp(op *schedule.Op, start, end sim.Time) {}
-func (e serveEnv) NVMeTargets() []schedule.NVMeTarget           { return nil }
-
-// FlowBuilder resolves the disaggregated KV shipment: one GPUDirect RoCE
-// flow per tensor-parallel rank from the prefill node's GPU to its decode
-// peer, each NIC serving its own socket's GPUs. Runs only on pool miss.
-func (e serveEnv) FlowBuilder(op *schedule.Op) func() []*fabric.Flow {
-	if op.Kind != schedule.OpXfer {
-		panic(fmt.Sprintf("serve: no flow builder for op kind %d", int(op.Kind)))
-	}
-	bytes := op.Bytes
-	return func() []*fabric.Flow {
-		flows := make([]*fabric.Flow, e.r.cfg.TensorParallel)
-		for i := range flows {
-			src := topology.GPU{Node: 0, Index: i}
-			dst := topology.GPU{Node: 1, Index: i}
-			route := e.r.cluster.GPUToRemoteGPUVia(src, dst, src.Socket(), dst.Socket())
-			flows[i] = route.Flow(fmt.Sprintf("kv-ship-g%d", i), bytes)
-		}
-		return flows
-	}
-}
-
-// NewRunner builds the cluster, generates the deterministic workload and
-// eagerly compiles every prefill/decode program shape the workload can
-// present (so the serving loops only ever look programs up).
+// NewRunner builds the fabric, generates the deterministic workload and
+// places it on the fabric's replicas. The testbed's step model eagerly
+// compiles every prefill/decode program shape the workload can present (so
+// the serving loops only ever look programs up).
 func NewRunner(cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tcfg := topology.DefaultConfig(cfg.Nodes)
-	tcfg.Window = cfg.Window
-	tcfg.RoCEBW = cfg.RoCEBW
-	cluster := topology.New(tcfg)
-
-	r := &Runner{
-		cfg:     cfg,
-		cluster: cluster,
-		eng:     cluster.Eng,
-		gpu:     compute.DefaultGPU(),
-		reqs:    generate(cfg),
+	var dcCfg topology.DCConfig
+	var err error
+	if cfg.Topo != topology.PaperTopo {
+		if dcCfg, err = topology.ParseTopoSpec(cfg.Topo); err != nil {
+			return nil, err
+		}
+		cfg.Nodes = dcCfg.Nodes // report the fabric's node count, not the testbed default
 	}
 	tp := cfg.TensorParallel
-	r.weightBytes = memory.ServeWeightBytesPerGPU(cfg.Model, tp)
-	r.kvPerTok = memory.KVBytesPerToken(cfg.Model) / float64(tp)
-	r.kvCap = memory.ServeKVCapacityPerGPU(cfg.Model, tp)
-
-	ranks := func(node int) []topology.GPU {
-		gs := make([]topology.GPU, tp)
-		for i := range gs {
-			gs[i] = topology.GPU{Node: node, Index: i}
-		}
-		return gs
+	r := &Runner{
+		cfg:         cfg,
+		gpu:         compute.DefaultGPU(),
+		reqs:        generate(cfg),
+		weightBytes: memory.ServeWeightBytesPerGPU(cfg.Model, tp),
+		kvPerTok:    memory.KVBytesPerToken(cfg.Model) / float64(tp),
+		kvCap:       memory.ServeKVCapacityPerGPU(cfg.Model, tp),
 	}
-	decNode := 0
-	if cfg.Disaggregated {
-		decNode = 1
+	if err = r.place(); err != nil {
+		return nil, err
 	}
-	r.decGroup = collective.NewGroup(cluster, ranks(decNode))
-	if cfg.Disaggregated {
-		r.preGroup = collective.NewGroup(cluster, ranks(0))
-	} else {
-		r.preGroup = r.decGroup
-	}
-
-	r.batch = make([]*request, cfg.MaxBatch)
-	r.ready = make([]*request, len(r.reqs))
-	if cfg.Arrival == ClosedLoop {
-		r.released = cfg.Concurrency
-		if r.released > len(r.reqs) {
-			r.released = len(r.reqs)
-		}
-	}
-
-	// Compile every program shape the workload can present.
-	maxCtx := 0
-	r.preExec = make(map[int]*schedule.Executor)
-	for i := range r.reqs {
-		q := &r.reqs[i]
-		if c := q.prompt + q.decode; c > maxCtx {
-			maxCtx = c
-		}
-		pb := promptBucket(q.prompt)
-		if _, ok := r.preExec[pb]; !ok {
-			r.preExec[pb] = schedule.NewExecutor(serveEnv{r: r, prefill: true}, r.compilePrefill(pb))
-		}
-	}
-	maxCB := ctxBucketIdx(maxCtx)
-	r.decExec = make(map[[2]int]*schedule.Executor, cfg.MaxBatch*maxCB)
-	for b := 1; b <= cfg.MaxBatch; b++ {
-		for cb := 1; cb <= maxCB; cb++ {
-			r.decExec[[2]int{b, cb}] = schedule.NewExecutor(serveEnv{r: r}, r.compileDecode(b, cb))
-		}
+	if cfg.Topo == topology.PaperTopo {
+		r.cost = newTestbedSteps(r)
+	} else if r.cost, err = newDCSteps(r, dcCfg); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// kvFits reports whether q's full conservative KV reservation (prompt plus
-// every token it will generate) fits the decode-side capacity.
-func (r *Runner) kvFits(q *request) bool {
-	return r.kvUsed+float64(q.prompt+q.decode)*r.kvPerTok <= r.kvCap
-}
-
-// reserve admits q: reserves its KV footprint on the decode side for its
-// whole lifetime (vLLM-style reserve-ahead, which can never deadlock
-// mid-generation) and advances the admission cursor.
-func (r *Runner) reserve(q *request, now sim.Time) {
-	q.admit = now
-	q.kv = float64(q.prompt+q.decode) * r.kvPerTok
-	r.kvUsed += q.kv
-	if r.kvUsed > r.kvPeak {
-		r.kvPeak = r.kvUsed
-	}
-	r.inflight++
-	r.nextArr++
-}
-
-// complete retires q at time now: frees its KV reservation, releases the
-// next closed-loop request, and wakes whichever proc was waiting for
-// capacity or for the final completion.
-func (r *Runner) complete(q *request, now sim.Time) {
-	q.done = now
-	r.kvUsed -= q.kv
-	r.inflight--
-	r.done++
-	if r.cfg.Arrival == ClosedLoop && r.released < len(r.reqs) {
-		r.reqs[r.released].arrival = now
-		r.released++
-	}
-	r.wakePrefill()
-	r.wakeDecode()
-}
-
-// The wake helpers signal a proc parked on its idle waiter. Done must run
-// from engine context, and these are reached from the other proc's
-// goroutine, so the signal hops through a zero-delay event.
-func (r *Runner) wakeDecode() {
-	if r.decodeWaiting {
-		r.decodeWaiting = false
-		r.eng.Schedule(0, r.decodeIdle.DoneFunc())
-	}
-}
-
-func (r *Runner) wakePrefill() {
-	if r.prefillWaiting {
-		r.prefillWaiting = false
-		r.eng.Schedule(0, r.prefillIdle.DoneFunc())
-	}
-}
-
-// runPrefill replays the request's prefill program (blocking its proc) and
-// emits the first token: the request either completes immediately
-// (single-token generations) or becomes ready for the decode batch.
-func (r *Runner) runPrefill(q *request) {
-	ex := r.preExec[promptBucket(q.prompt)]
-	ex.Run(r.preWaiter.DoneFunc())
-	r.preWaiter.Wait()
-	now := r.eng.Now()
-	q.first = now
-	q.decoded = 1
-	if q.decoded >= q.decode {
-		r.complete(q, now)
-		return
-	}
-	r.ready[r.rTail] = q
-	r.rTail++
-	r.wakeDecode()
-}
-
-// admitReady moves prefilled requests into the decode batch up to the
-// continuous-batching cap.
-//
-//lint:steady
-func (r *Runner) admitReady() {
-	for r.rHead < r.rTail && r.bn < len(r.batch) {
-		r.batch[r.bn] = r.ready[r.rHead]
-		r.ready[r.rHead] = nil
-		r.bn++
-		r.rHead++
-	}
-}
-
-// decodeStep generates one token for every request in the batch: replay the
-// compiled program for the batch's (size, context bucket) shape, then retire
-// finished requests in place. This is the warm serving path — it must not
-// allocate.
-//
-//lint:steady
-func (r *Runner) decodeStep() {
-	maxCtx := 0
-	for i := 0; i < r.bn; i++ {
-		q := r.batch[i]
-		if c := q.prompt + q.decoded; c > maxCtx {
-			maxCtx = c
+// place splits the fabric's nodes into the prefill pool (disaggregated
+// only: nodes/4, at least one) and the decode replicas after it, and hands
+// out the requests round-robin by id within each.
+func (r *Runner) place() error {
+	nodes := r.cfg.Nodes
+	prefillNodes := 0
+	if r.cfg.Disaggregated {
+		prefillNodes = max(1, nodes/4)
+		if prefillNodes >= nodes {
+			return fmt.Errorf("serve: %s too small for disaggregated serving", r.cfg.Topo)
 		}
 	}
-	ex := r.decExec[[2]int{r.bn, ctxBucketIdx(maxCtx)}]
-	ex.Run(r.stepWaiter.DoneFunc())
-	r.stepWaiter.Wait()
-	now := r.eng.Now()
-	r.steps++
-	r.batchSum += int64(r.bn)
-	w := 0
-	for i := 0; i < r.bn; i++ {
-		q := r.batch[i]
-		q.decoded++
-		if q.decoded >= q.decode {
-			r.complete(q, now)
-		} else {
-			r.batch[w] = q
-			w++
+	newNodes := func(first, count int) []*replica {
+		ns := make([]*replica, count)
+		for i := range ns {
+			ns[i] = &replica{node: first + i}
 		}
+		for i := range r.reqs {
+			n := ns[i%count]
+			n.queue = append(n.queue, &r.reqs[i])
+		}
+		return ns
 	}
-	for i := w; i < r.bn; i++ {
-		r.batch[i] = nil
+	r.replicas = newNodes(prefillNodes, nodes-prefillNodes)
+	for _, rep := range r.replicas {
+		rep.ready = make([]*request, len(rep.queue))
+		rep.batch = make([]*request, r.cfg.MaxBatch)
 	}
-	r.bn = w
+	if prefillNodes > 0 {
+		r.prefills = newNodes(0, prefillNodes)
+	}
+	if r.cfg.Arrival == ClosedLoop {
+		r.released = min(r.cfg.Concurrency, len(r.reqs))
+	}
+	return nil
 }
 
-// serveColocated runs both phases in one proc on the node's GPUs: an
-// admissible arrival's prefill preempts decode (prefill-priority continuous
-// batching), which is exactly the decode stall disaggregation removes.
-func (r *Runner) serveColocated(p *sim.Proc) {
-	r.stepWaiter = sim.NewWaiter(p)
-	r.preWaiter = r.stepWaiter
-	for r.done < len(r.reqs) {
-		now := p.Now()
-		if q := r.admissible(now); q != nil {
-			r.reserve(q, now)
-			r.runPrefill(q)
-			r.admitReady()
-			continue
-		}
-		if r.bn > 0 {
-			r.decodeStep()
-			continue
-		}
-		// Idle: everything in flight is done and the next arrival is in the
-		// future (closed-loop releases keep at least one request admissible,
-		// so the cursor's arrival time here is always concrete).
-		p.Sleep(r.reqs[r.nextArr].arrival - now)
+// replicaOf returns the decode replica that owns q.
+func (r *Runner) replicaOf(q *request) *replica { return r.replicas[q.id%len(r.replicas)] }
+
+// admitterOf returns the node whose proc admits q: its prefill-pool node,
+// or its replica under colocated placement.
+func (r *Runner) admitterOf(q *request) *replica {
+	if len(r.prefills) > 0 {
+		return r.prefills[q.id%len(r.prefills)]
 	}
+	return r.replicaOf(q)
 }
 
-// admissible returns the next request that has arrived and fits (batch room
-// and KV capacity), or nil.
-func (r *Runner) admissible(now sim.Time) *request {
-	if r.nextArr >= len(r.reqs) {
+// admissible returns n's next queued request when it has arrived and fits
+// its decode replica (a batch slot and its full conservative KV
+// reservation: prompt plus every token it will generate), or nil.
+func (r *Runner) admissible(n *replica, now sim.Time) *request {
+	if n.next >= len(n.queue) {
 		return nil
 	}
-	q := &r.reqs[r.nextArr]
-	if q.arrival > now || r.inflight >= r.cfg.MaxBatch || !r.kvFits(q) {
+	q := n.queue[n.next]
+	rep := r.replicaOf(q)
+	if q.arrival > now || rep.inflight >= r.cfg.MaxBatch ||
+		rep.kvUsed+float64(q.prompt+q.decode)*r.kvPerTok > r.kvCap {
 		return nil
 	}
 	return q
 }
 
-// servePrefill is the disaggregated prefill proc on node 0: admit arrivals
-// in order, run their prompt pass, ship the KV cache and hand them to the
-// decode node.
-func (r *Runner) servePrefill(p *sim.Proc) {
-	r.preWaiter = sim.NewWaiter(p)
-	r.prefillIdle = sim.NewWaiter(p)
-	for r.nextArr < len(r.reqs) {
-		q := &r.reqs[r.nextArr]
-		now := p.Now()
-		if q.arrival == unreleased {
-			r.prefillWaiting = true
-			r.prefillIdle.Wait()
-			continue
-		}
-		if q.arrival > now {
-			p.Sleep(q.arrival - now)
-			continue
-		}
-		if r.inflight >= r.cfg.MaxBatch || !r.kvFits(q) {
-			r.prefillWaiting = true
-			r.prefillIdle.Wait()
-			continue
-		}
-		r.reserve(q, now)
-		r.runPrefill(q)
+// prefill admits q from node n and emits its first token. Admission reserves
+// q's KV footprint on its decode replica for its whole lifetime (vLLM-style
+// reserve-ahead, which can never deadlock mid-generation). The request then
+// completes at once (single-token generations) or is handed to the replica's
+// ready queue.
+func (r *Runner) prefill(p *sim.Proc, n *replica, q *request) {
+	rep := r.replicaOf(q)
+	q.admit = p.Now()
+	q.kv = float64(q.prompt+q.decode) * r.kvPerTok
+	rep.kvUsed += q.kv
+	if rep.kvUsed > rep.kvPeak {
+		rep.kvPeak = rep.kvUsed
+	}
+	rep.inflight++
+	n.next++
+	r.cost.prefill(p, n.w, q, n.node, rep.node)
+	now := p.Now()
+	q.first = now
+	q.decoded = 1
+	if q.decoded >= q.decode {
+		r.complete(q, rep, now)
+		return
+	}
+	rep.ready[rep.rTail] = q
+	rep.rTail++
+	r.wake(rep)
+}
+
+// complete retires q on replica rep at time now: frees its KV reservation,
+// releases the next closed-loop request to the node that admits it, and
+// wakes every proc that may now make progress. Freed capacity on rep can
+// unblock any prefill-pool node, or rep's own admission under colocated
+// placement; the final completion must also wake rep's decode loop so it can
+// exit.
+func (r *Runner) complete(q *request, rep *replica, now sim.Time) {
+	q.done = now
+	rep.kvUsed -= q.kv
+	rep.inflight--
+	rep.done++
+	r.done++
+	if r.cfg.Arrival == ClosedLoop && r.released < len(r.reqs) {
+		nq := &r.reqs[r.released]
+		nq.arrival = now
+		r.released++
+		r.wake(r.admitterOf(nq))
+	}
+	for _, pf := range r.prefills {
+		r.wake(pf)
+	}
+	r.wake(rep)
+}
+
+// wake resumes n's proc if it is parked. Done must run from engine context,
+// and wakes are reached from other procs' goroutines, so the signal hops
+// through a zero-delay event.
+func (r *Runner) wake(n *replica) {
+	if n.waiting {
+		n.waiting = false
+		r.eng.Schedule(0, n.w.DoneFunc())
 	}
 }
 
-// serveDecode is the disaggregated decode proc on node 1: a pure token
-// generation loop over whatever the prefill node has handed over.
-func (r *Runner) serveDecode(p *sim.Proc) {
-	r.stepWaiter = sim.NewWaiter(p)
-	r.decodeIdle = sim.NewWaiter(p)
-	for r.done < len(r.reqs) {
-		r.admitReady()
-		if r.bn == 0 {
-			r.decodeWaiting = true
-			r.decodeIdle.Wait()
+// idle blocks n's proc until its next queued request arrives, or, when that
+// request is unreleased, does not fit, or there is none, until a wake.
+func (r *Runner) idle(p *sim.Proc, n *replica, now sim.Time) {
+	if n.next < len(n.queue) {
+		if at := n.queue[n.next].arrival; at != unreleased && at > now {
+			p.Sleep(at - now)
+			return
+		}
+	}
+	n.waiting = true
+	n.w.Wait()
+}
+
+// admitReady moves handed-over requests into the decode batch up to the
+// continuous-batching cap.
+//
+//lint:steady
+func (rep *replica) admitReady() {
+	for rep.rHead < rep.rTail && rep.bn < len(rep.batch) {
+		rep.batch[rep.bn] = rep.ready[rep.rHead]
+		rep.ready[rep.rHead] = nil
+		rep.bn++
+		rep.rHead++
+	}
+}
+
+// decodeStep generates one token for every request in rep's batch: the
+// step model's decode pass for the batch's (size, context bucket) shape,
+// then retirement of finished requests in place. This is the warm serving
+// path; on the testbed it must not allocate.
+//
+//lint:steady
+func (r *Runner) decodeStep(p *sim.Proc, rep *replica) {
+	maxCtx := 0
+	for i := 0; i < rep.bn; i++ {
+		q := rep.batch[i]
+		if c := q.prompt + q.decoded; c > maxCtx {
+			maxCtx = c
+		}
+	}
+	r.cost.decode(p, rep.w, rep.node, rep.bn, ctxBucketIdx(maxCtx))
+	now := p.Now()
+	r.steps++
+	r.batchSum += int64(rep.bn)
+	w := 0
+	for i := 0; i < rep.bn; i++ {
+		q := rep.batch[i]
+		q.decoded++
+		if q.decoded >= q.decode {
+			r.complete(q, rep, now)
+		} else {
+			rep.batch[w] = q
+			w++
+		}
+	}
+	for i := w; i < rep.bn; i++ {
+		rep.batch[i] = nil
+	}
+	rep.bn = w
+}
+
+// colocatedLoop runs both phases of rep's requests in one proc: an
+// admissible arrival's prefill preempts decode (prefill-priority continuous
+// batching), which is exactly the decode stall disaggregation removes.
+func (r *Runner) colocatedLoop(p *sim.Proc, rep *replica) {
+	rep.w = sim.NewWaiter(p)
+	for rep.done < len(rep.queue) {
+		now := p.Now()
+		if q := r.admissible(rep, now); q != nil {
+			r.prefill(p, rep, q)
+			rep.admitReady()
 			continue
 		}
-		r.decodeStep()
+		if rep.bn > 0 {
+			r.decodeStep(p, rep)
+			continue
+		}
+		r.idle(p, rep, now)
+	}
+}
+
+// prefillLoop is a prefill-pool node's proc: admit its requests in order
+// onto their decode replicas, run their prompt passes and ship their KV
+// caches.
+func (r *Runner) prefillLoop(p *sim.Proc, pf *replica) {
+	pf.w = sim.NewWaiter(p)
+	for pf.next < len(pf.queue) {
+		now := p.Now()
+		if q := r.admissible(pf, now); q != nil {
+			r.prefill(p, pf, q)
+			continue
+		}
+		r.idle(p, pf, now)
+	}
+}
+
+// decodeLoop is a disaggregated decode replica's proc: a pure token
+// generation loop over whatever the prefill pool has handed over.
+func (r *Runner) decodeLoop(p *sim.Proc, rep *replica) {
+	rep.w = sim.NewWaiter(p)
+	for rep.done < len(rep.queue) {
+		rep.admitReady()
+		if rep.bn == 0 {
+			rep.waiting = true
+			rep.w.Wait()
+			continue
+		}
+		r.decodeStep(p, rep)
 	}
 }
 
 // Run simulates the scenario to completion and returns its result.
 func (r *Runner) Run() (*Result, error) {
-	if r.cfg.Disaggregated {
-		r.eng.Go("serve-prefill", r.servePrefill)
-		r.eng.Go("serve-decode", r.serveDecode)
-	} else {
-		r.eng.Go("serve", r.serveColocated)
+	for _, pf := range r.prefills {
+		r.eng.Go(fmt.Sprintf("serve-prefill-%d", pf.node), func(p *sim.Proc) { r.prefillLoop(p, pf) })
 	}
-	end := r.eng.Run()
+	for _, rep := range r.replicas {
+		if r.cfg.Disaggregated {
+			r.eng.Go(fmt.Sprintf("serve-decode-%d", rep.node), func(p *sim.Proc) { r.decodeLoop(p, rep) })
+		} else {
+			r.eng.Go(fmt.Sprintf("serve-replica-%d", rep.node), func(p *sim.Proc) { r.colocatedLoop(p, rep) })
+		}
+	}
+	end := r.runSim()
 	if live := r.eng.LiveProcs(); live != 0 {
 		return nil, fmt.Errorf("serve: %s deadlocked with %d live procs", r.cfg.Name(), live)
 	}
@@ -406,10 +378,6 @@ func (r *Runner) Run() (*Result, error) {
 
 // Run simulates one serving scenario end to end.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Topo != topology.PaperTopo {
-		return runDC(cfg)
-	}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return nil, err

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"llmbw/internal/sim"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
 // smallCfg is a quick testbed scenario shared by the smoke tests.
 func smallCfg() Config {
@@ -216,6 +221,80 @@ func TestServeDeterminismAB(t *testing.T) {
 	}
 }
 
+// TestServeRequestLogGolden pins serving byte for byte on both fabric
+// families: the JSON summary and the per-request log of every placement and
+// arrival process, including closed-loop releases that cross datacenter
+// replicas. Regenerate intentionally with
+// `go test ./internal/serve -run RequestLogGolden -update-golden`.
+func TestServeRequestLogGolden(t *testing.T) {
+	base := Config{Requests: 32, RatePerSec: 200, PromptTokens: 256, DecodeTokens: 16, MaxBatch: 8}
+	with := func(topo string, disagg bool, arrival Arrival) Config {
+		c := base
+		c.Topo = topo
+		c.Disaggregated = disagg
+		c.Arrival = arrival
+		c.Concurrency = 12 // above MaxBatch, so admission waits on batch room
+		return c
+	}
+	tp1 := with("", false, OpenLoop)
+	tp1.TensorParallel = 1
+	trace := with("", false, TraceDriven)
+	trace.Trace = []TraceReq{
+		{At: 0, PromptTokens: 128, DecodeTokens: 8},
+		{At: 0, PromptTokens: 300, DecodeTokens: 12},
+		{At: sim.Millisecond, PromptTokens: 700, DecodeTokens: 1},
+		{At: 2 * sim.Millisecond, PromptTokens: 64, DecodeTokens: 24},
+		{At: 2 * sim.Millisecond, PromptTokens: 512, DecodeTokens: 20},
+		{At: 40 * sim.Millisecond, PromptTokens: 256, DecodeTokens: 16},
+	}
+	var buf bytes.Buffer
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"testbed/colocated/open", with("", false, OpenLoop)},
+		{"testbed/colocated/closed", with("", false, ClosedLoop)},
+		{"testbed/colocated/trace", trace},
+		{"testbed/disaggregated/open", with("", true, OpenLoop)},
+		{"testbed/disaggregated/closed", with("", true, ClosedLoop)},
+		{"testbed/colocated/tp1", tp1},
+		{"fat-tree:nodes=8/colocated/open", with("fat-tree:nodes=8", false, OpenLoop)},
+		{"fat-tree:nodes=8/colocated/closed", with("fat-tree:nodes=8", false, ClosedLoop)},
+		{"fat-tree:nodes=8/disaggregated/open", with("fat-tree:nodes=8", true, OpenLoop)},
+		{"fat-tree:nodes=8/disaggregated/closed", with("fat-tree:nodes=8", true, ClosedLoop)},
+		{"rail-only:nodes=8,pod=1/disaggregated/open", with("rail-only:nodes=8,pod=1", true, OpenLoop)},
+		{"dragonfly:nodes=8/colocated/open", with("dragonfly:nodes=8", false, OpenLoop)},
+		{"fat-tree:nodes=2/disaggregated/open", with("fat-tree:nodes=2", true, OpenLoop)},
+	} {
+		res := mustRun(t, tc.cfg)
+		checkSane(t, res)
+		fmt.Fprintf(&buf, "## %s\n", tc.name)
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.WriteRequestLog(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", "request_logs.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("serving summaries or request logs drifted from %s", path)
+	}
+}
+
 // steadyRunner builds a colocated runner whose decode batch can be pinned
 // full: closed loop at full concurrency, long generations.
 func steadyRunner(tb testing.TB) *Runner {
@@ -235,22 +314,21 @@ func steadyRunner(tb testing.TB) *Runner {
 	return r
 }
 
-// fillBatch admits every request and runs its prefill, leaving the decode
-// batch at full width.
-func fillBatch(r *Runner, p *sim.Proc) {
-	r.stepWaiter = sim.NewWaiter(p)
-	r.preWaiter = r.stepWaiter
-	for r.nextArr < len(r.reqs) {
-		q := &r.reqs[r.nextArr]
-		r.reserve(q, p.Now())
-		r.runPrefill(q)
+// fillBatch admits every request of the runner's one replica and runs its
+// prefill, leaving the decode batch at full width.
+func fillBatch(r *Runner, p *sim.Proc) *replica {
+	rep := r.replicas[0]
+	rep.w = sim.NewWaiter(p)
+	for rep.next < len(rep.queue) {
+		r.prefill(p, rep, rep.queue[rep.next])
 	}
-	r.admitReady()
+	rep.admitReady()
+	return rep
 }
 
 // TestServeDecodeReplayAllocFree pins the serving tentpole's steady-state
-// claim: once the executor pools are warm, replaying decode steps allocates
-// nothing.
+// claim: once the executor pools are warm, replaying decode steps through
+// the shared scheduler and the testbed's step model allocates nothing.
 func TestServeDecodeReplayAllocFree(t *testing.T) {
 	// runtime.MemStats is process-wide: at GOMAXPROCS > 1 the runtime's own
 	// work (a sudog for the proc↔engine channel handoff after the goroutine
@@ -261,19 +339,19 @@ func TestServeDecodeReplayAllocFree(t *testing.T) {
 	const measured = 8
 	var mallocs uint64
 	r.eng.Go("alloc-probe", func(p *sim.Proc) {
-		fillBatch(r, p)
+		rep := fillBatch(r, p)
 		for i := 0; i < 4; i++ {
-			r.decodeStep() // warm every executor pool
+			r.decodeStep(p, rep) // warm every executor pool
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < measured; i++ {
-			r.decodeStep()
+			r.decodeStep(p, rep)
 		}
 		runtime.ReadMemStats(&m1)
 		mallocs = m1.Mallocs - m0.Mallocs
-		if r.bn != len(r.batch) {
-			t.Errorf("decode batch drained to %d during measurement", r.bn)
+		if rep.bn != len(rep.batch) {
+			t.Errorf("decode batch drained to %d during measurement", rep.bn)
 		}
 	})
 	r.eng.Run()
@@ -283,22 +361,23 @@ func TestServeDecodeReplayAllocFree(t *testing.T) {
 }
 
 // BenchmarkServeDecodeSteady measures one full-batch decode step end to end
-// (roofline span, two tensor-parallel all-reduces through compiled plans,
-// event core). Allocs/op is pinned at zero by TestServeDecodeReplayAllocFree.
+// (the shared scheduler's step, the roofline span, two tensor-parallel
+// all-reduces through compiled plans, event core). Allocs/op is pinned at
+// zero by TestServeDecodeReplayAllocFree.
 func BenchmarkServeDecodeSteady(b *testing.B) {
 	r := steadyRunner(b)
 	r.eng.Go("bench", func(p *sim.Proc) {
-		fillBatch(r, p)
+		rep := fillBatch(r, p)
 		for i := 0; i < 4; i++ {
-			r.decodeStep()
+			r.decodeStep(p, rep)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j := 0; j < r.bn; j++ {
-				r.batch[j].decoded = 1 // hold the batch at full width
+			for j := 0; j < rep.bn; j++ {
+				rep.batch[j].decoded = 1 // hold the batch at full width
 			}
-			r.decodeStep()
+			r.decodeStep(p, rep)
 		}
 	})
 	r.eng.Run()

@@ -29,7 +29,7 @@ type DCBlueprint struct {
 
 // dcBlueprints is the topology tier of the warm-artifact store. Blueprints
 // are pure functions of (spec, shards) and independent of any capacity
-// state, so entries carry epoch 0.
+// state.
 var dcBlueprints = scenario.New("topology.blueprints", 64)
 
 // DCBlueprintFor fetches (building on first use) the blueprint for a fabric
@@ -44,8 +44,8 @@ func DCBlueprintFor(cfg DCConfig, shards int, colocated bool) (*DCBlueprint, err
 	if shards < 1 || colocated {
 		shards = 1
 	}
-	key := scenario.Intern(fmt.Sprintf("bp|%+v|sh%d", cfg, shards))
-	v, err := dcBlueprints.Do(key, 0, func() (any, error) {
+	key := fmt.Sprintf("bp|%+v|sh%d", cfg, shards)
+	v, err := dcBlueprints.Do(key, func() (any, error) {
 		return newDCBlueprint(cfg, shards), nil
 	})
 	if err != nil {

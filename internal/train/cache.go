@@ -27,7 +27,7 @@ const DefaultRunCacheCap = 512
 
 var runCache = scenario.New("train.results", DefaultRunCacheCap)
 
-// ScenarioKey returns the canonical interned scenario key for the
+// ScenarioKey returns the canonical scenario key for the
 // configuration, or ok=false when the configuration cannot be keyed (a
 // FaultInjection hook is opaque: two configs with different hooks would
 // collide; an unparsable Topo/Algo cannot be canonicalized). The key is the
@@ -57,14 +57,11 @@ func (c Config) ScenarioKey() (string, bool) {
 		}
 		algo = a.String()
 	}
-	return scenario.Intern(fmt.Sprintf("s%d o%d n%d m%+v tp%d pp%d b%d P{%s} i%d w%d ck%d tr%t win%d pb%t roce%g xbar%g rw%d sh%d topo{%s} algo{%s}",
+	return fmt.Sprintf("s%d o%d n%d m%+v tp%d pp%d b%d P{%s} i%d w%d ck%d tr%t win%d pb%t roce%g xbar%g rw%d sh%d topo{%s} algo{%s}",
 		c.Strategy, c.Offload, c.Nodes, c.Model, c.TensorParallel, c.PipelineParallel,
 		c.BatchPerGPU, placement, c.Iterations, c.Warmup, c.CheckpointEvery,
-		c.Trace, int64(c.Window), c.PurposeBuilt, c.RoCEBW, c.XbarBW, c.Rewrite, c.Shards, topo, algo)), true
+		c.Trace, int64(c.Window), c.PurposeBuilt, c.RoCEBW, c.XbarBW, c.Rewrite, c.Shards, topo, algo), true
 }
-
-// cacheKey is the historical internal name for ScenarioKey.
-func (c Config) cacheKey() (string, bool) { return c.ScenarioKey() }
 
 // RunCached executes the configuration, reusing the Result of an identical
 // earlier run in this process. Results are deterministic functions of the
@@ -76,7 +73,7 @@ func RunCached(cfg Config) (*Result, error) {
 	if !ok {
 		return Run(cfg)
 	}
-	v, err := runCache.Do(key, 0, func() (any, error) {
+	v, err := runCache.Do(key, func() (any, error) {
 		res, err := Run(cfg)
 		if err != nil {
 			return nil, err

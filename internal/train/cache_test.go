@@ -111,9 +111,9 @@ func TestRunCacheStatsProbe(t *testing.T) {
 	ResetRunCache()
 }
 
-// TestScenarioKeyStability pins that ScenarioKey is interned (two renders of
-// one configuration share one backing string), rejects opaque configs, and
-// keeps fabrics that differ only in oversubscription or radix apart.
+// TestScenarioKeyStability pins that ScenarioKey is stable (two renders of
+// one configuration are equal), rejects opaque configs, and keeps fabrics
+// that differ only in oversubscription or radix apart.
 func TestScenarioKeyStability(t *testing.T) {
 	a, ok := smallCfg(0).ScenarioKey()
 	if !ok {

@@ -38,9 +38,9 @@ func (r *Runner) scheduleKey() (string, bool) {
 	if c.Strategy == Megatron && c.PipelineParallel > 1 {
 		return "", false
 	}
-	return scenario.Intern(fmt.Sprintf("sched s%d o%d n%d m%+v tp%d pp%d b%d rw%d",
+	return fmt.Sprintf("sched s%d o%d n%d m%+v tp%d pp%d b%d rw%d",
 		c.Strategy, c.Offload, c.Nodes, c.Model, c.TensorParallel,
-		c.PipelineParallel, c.BatchPerGPU, c.Rewrite)), true
+		c.PipelineParallel, c.BatchPerGPU, c.Rewrite), true
 }
 
 // iterationSchedule returns the compiled per-iteration program, fetching
@@ -51,7 +51,7 @@ func (r *Runner) iterationSchedule() *schedule.Schedule {
 	if !ok {
 		return r.compileIteration()
 	}
-	v, _ := scheduleCache.Do(key, 0, func() (any, error) {
+	v, _ := scheduleCache.Do(key, func() (any, error) {
 		return r.compileIteration(), nil
 	})
 	return v.(*schedule.Schedule)

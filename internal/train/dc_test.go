@@ -159,22 +159,22 @@ func TestDCValidate(t *testing.T) {
 	}
 	// Cache keys: canonical topo spelling shares an entry; algo and topo
 	// distinguish entries.
-	a, okA := dcBase(DDP).cacheKey()
+	a, okA := dcBase(DDP).ScenarioKey()
 	canon := dcBase(DDP)
 	canon.Topo = "rail:nodes=8,pod=1"
-	b, okB := canon.cacheKey()
+	b, okB := canon.ScenarioKey()
 	if !okA || !okB || a != b {
 		t.Errorf("canonicalized topo specs should share a cache key:\n%s\n%s", a, b)
 	}
 	alt := dcBase(DDP)
 	alt.Algo = "multiring"
-	c, _ := alt.cacheKey()
+	c, _ := alt.ScenarioKey()
 	if c == a {
 		t.Error("cache key ignores Algo")
 	}
 	ft := dcBase(DDP)
 	ft.Topo = "fat-tree:nodes=8,pod=1"
-	d, _ := ft.cacheKey()
+	d, _ := ft.ScenarioKey()
 	if d == a {
 		t.Error("cache key ignores Topo")
 	}

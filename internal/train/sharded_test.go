@@ -97,8 +97,8 @@ func TestShardsValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("Shards = MaxShards rejected: %v", err)
 	}
-	a, _ := Config{Strategy: DDP, Model: model.NewGPT(8)}.cacheKey()
-	b, _ := Config{Strategy: DDP, Model: model.NewGPT(8), Shards: 2}.cacheKey()
+	a, _ := Config{Strategy: DDP, Model: model.NewGPT(8)}.ScenarioKey()
+	b, _ := Config{Strategy: DDP, Model: model.NewGPT(8), Shards: 2}.ScenarioKey()
 	if a == b {
 		t.Error("cache key ignores Shards")
 	}

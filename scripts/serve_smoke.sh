@@ -1,9 +1,9 @@
 #!/bin/sh
 # serve_smoke.sh boots the servesim daemon on a throwaway port, issues one
-# /run and one /serve query, checks that /healthz answers and that /stats
-# reports both result tiers, then sends SIGTERM and verifies the daemon
-# drains and exits cleanly. Exercised by `make serve-smoke` and the CI
-# serve-smoke job.
+# /run query and two /serve queries (the testbed and a disaggregated
+# fat-tree), checks that /healthz answers and that /stats reports both
+# result tiers, then sends SIGTERM and verifies the daemon drains and exits
+# cleanly. Exercised by `make serve-smoke` and the CI serve-smoke job.
 set -eu
 
 ADDR="127.0.0.1:18080"
@@ -38,12 +38,16 @@ echo "$RUN" | grep -q '"attained_tflops"' || {
 	exit 1
 }
 
-SERVE=$(curl -sf -X POST "http://$ADDR/serve" \
-	-d '{"requests":8,"prompt_tokens":128,"decode_tokens":8}')
-echo "$SERVE" | grep -q '"goodput_rps"' || {
-	echo "serve-smoke: /serve response missing latency fields: $SERVE" >&2
-	exit 1
-}
+# The testbed body runs the scheduler's one-replica case; the fat-tree body
+# runs its multi-replica case, with a prefill pool shipping KV caches.
+for BODY in '{"requests":8,"prompt_tokens":128,"decode_tokens":8}' \
+	'{"requests":8,"topo":"fat-tree:nodes=8","disaggregated":true}'; do
+	SERVE=$(curl -sf -X POST "http://$ADDR/serve" -d "$BODY")
+	echo "$SERVE" | grep -q '"goodput_rps"' || {
+		echo "serve-smoke: /serve $BODY response missing latency fields: $SERVE" >&2
+		exit 1
+	}
+done
 
 STATS=$(curl -sf "http://$ADDR/stats")
 for TIER in '"train.results"' '"serve.results"'; do
