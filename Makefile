@@ -58,7 +58,8 @@ fuzz-smoke:
 ## the substrate micro-benchmarks in BENCH_fabric.json, the repeated-
 ## collective plan-replay macro-benchmark in BENCH_collective.json, the
 ## compiled-schedule iteration replay benchmark (pinned at zero steady-state
-## allocations) in BENCH_train.json,
+## allocations) and the datacenter training run (ZeRO-3, 2-level, 256-node
+## fat-tree at 1 and 2 shards) in BENCH_train.json,
 ## and the sharded-engine serial-vs-parallel steady-state scaling grid
 ## (1/2/4 shards at 2/8/16 nodes of a one-node-pod fat-tree) in
 ## BENCH_sim.json, and the datacenter-collective grid (flat on 1 shard,
@@ -72,7 +73,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench 'FabricFairShare|SimEngineEvents|CollectiveAllReduce' -benchmem -json . > BENCH_fabric.json
 	$(GO) test -run '^$$' -bench 'CollectiveReplaySteady' -benchmem -json . > BENCH_collective.json
-	$(GO) test -run '^$$' -bench 'ScheduleReplaySteady' -benchmem -json ./internal/train > BENCH_train.json
+	$(GO) test -run '^$$' -bench 'ScheduleReplaySteady|DCTrain' -benchmem -json ./internal/train > BENCH_train.json
 	$(GO) test -run '^$$' -bench 'ShardedEngineSteady' -benchmem -json ./internal/sim > BENCH_sim.json
 	$(GO) test -run '^$$' -bench 'HierarchicalAllReduce' -benchmem -json ./internal/collective > BENCH_topo.json
 	$(GO) test -run '^$$' -bench 'ServeColdRun|ServeWarmRun|ServeWarmSweep|ScenarioCacheWarmGet|ServeDecodeSteady' -benchmem -json ./cmd/servesim ./internal/scenario ./internal/serve > BENCH_serve.json

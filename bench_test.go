@@ -195,7 +195,7 @@ func BenchmarkFabricFairShareSteady(b *testing.B) {
 	for j := range flows {
 		net.StartFlow(flows[j], restart[j])
 	}
-	// Warm up scratch buffers, event pool and telemetry windows.
+	// Warm up scratch buffers, the event heap and telemetry windows.
 	end := eng.RunUntil(eng.Now() + 100*sim.Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -209,10 +209,9 @@ func BenchmarkFabricFairShareSteady(b *testing.B) {
 // long-lived flows hold private links, and each op admits a same-instant
 // burst of 64 single-link flows, one StartFlow at a time. Two bursts
 // alternate, each admitted as the other is half done, so an op runs until
-// the previous burst completes and every armed completion event fires
-// within the run instead of piling up behind the idle flows. Every
-// admission recomputes a one-flow component; only the op's single time
-// advance walks the N idle flows. It must not allocate.
+// the previous burst completes. Every admission recomputes a one-flow
+// component and re-arms the network's completion timer; only the op's
+// single time advance walks the N idle flows. It must not allocate.
 func BenchmarkFabricFairShareWide(b *testing.B) {
 	for _, n := range []int{16, 1024, 4096} {
 		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) { benchFairShareWide(b, n) })
@@ -255,7 +254,7 @@ func benchFairShareWide(b *testing.B, n int) {
 	admit(bursts[1])
 	eng.RunUntil(eng.Now() + 50*sim.Microsecond)
 	for i := 0; i < 4; i++ {
-		op(i) // warm up registries, scratch lists and the event pool
+		op(i) // warm up registries, scratch lists and the event heap
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -298,7 +297,7 @@ func BenchmarkCollectiveReplaySteady(b *testing.B) {
 			g.Start(collective.AllReduce, 1e9, restart)
 		}
 	}
-	// Warm up: compile the plan, grow the fabric registries and event pool.
+	// Warm up: compile the plan, grow the fabric registries and event heap.
 	remaining = 3
 	g.Start(collective.AllReduce, 1e9, restart)
 	c.Eng.Run()

@@ -253,11 +253,6 @@ func (g *DCGroup) StartNode(op Op, payload float64, node int, onDone func()) {
 	}
 }
 
-// RunNode executes node's share synchronously from its driver process.
-func (g *DCGroup) RunNode(p *sim.Proc, op Op, payload float64, node int) {
-	p.Await(func(resume func()) { g.StartNode(op, payload, node, resume) })
-}
-
 // hierShape is the cluster-independent part of a compiled hierarchical plan:
 // phase volumes, the ring's pipeline-fill latency, and every rendered flow
 // and leg name. It is a pure function of (algo, op, topology spec, payload) —

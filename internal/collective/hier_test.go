@@ -51,25 +51,32 @@ func driveDC(t *testing.T, spec string, algo Algo, shards int, parallel bool) st
 	for _, r := range rounds {
 		grp.Precompile(r.op, r.payload)
 	}
+	// Each node's driver is a callback chain on its home shard: log the
+	// round that just completed, then start the next one.
 	nodes := sc.Nodes()
-	logs := make([]string, nodes)
+	logs := make([]strings.Builder, nodes)
 	for n := 0; n < nodes; n++ {
 		n := n
-		sc.EngineOf(n).Go(fmt.Sprintf("driver-%d", n), func(p *sim.Proc) {
-			var sb strings.Builder
-			for it := 0; it < 2; it++ {
-				for _, r := range rounds {
-					grp.RunNode(p, r.op, r.payload, n)
-					fmt.Fprintf(&sb, "%v@%d;", r.op, p.Now())
-				}
+		eng := sc.EngineOf(n)
+		done := 0
+		var next func()
+		next = func() {
+			if done > 0 {
+				fmt.Fprintf(&logs[n], "%v@%d;", rounds[(done-1)%len(rounds)].op, eng.Now())
 			}
-			logs[n] = sb.String()
-		})
+			if done == 2*len(rounds) {
+				return
+			}
+			r := rounds[done%len(rounds)]
+			done++
+			grp.StartNode(r.op, r.payload, n, next)
+		}
+		eng.Schedule(0, next)
 	}
 	end := sc.RunSim()
 	var sb strings.Builder
 	for n := 0; n < nodes; n++ {
-		fmt.Fprintf(&sb, "n%d %s roce=%+v nv=%+v\n", n, logs[n],
+		fmt.Fprintf(&sb, "n%d %s roce=%+v nv=%+v\n", n, logs[n].String(),
 			sc.ClassSeries(fabric.RoCE, n, 0, end).Stats(),
 			sc.ClassSeries(fabric.NVLink, n, 0, end).Stats())
 	}

@@ -133,8 +133,8 @@ func TestSerialAdmissionResharesPerFlow(t *testing.T) {
 }
 
 // TestBatchedAdmissionSteadyStateZeroAlloc pins the allocation contract of
-// the resharing hot path: once registries, scratch buffers and the completion
-// event pool have warmed up, admitting and draining a batch allocates nothing.
+// the resharing hot path: once registries, scratch buffers and the event
+// heap have warmed up, admitting and draining a batch allocates nothing.
 func TestBatchedAdmissionSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.New()
 	net := NewNetwork(eng)
@@ -149,7 +149,7 @@ func TestBatchedAdmissionSteadyStateZeroAlloc(t *testing.T) {
 		eng.Run()
 	}
 	for i := 0; i < 3; i++ {
-		iterate() // warm up slice capacities and the event pool
+		iterate() // warm up slice capacities and the event heap
 	}
 	if avg := testing.AllocsPerRun(50, iterate); avg != 0 {
 		t.Errorf("steady-state batched admission allocates %v allocs/run, want 0", avg)

@@ -44,15 +44,20 @@ func (f *Flow) Done() bool { return f.done }
 // next completion folds in just the re-rated flows, and the finished-flow
 // check is skipped unless a flow can have finished; each walks the whole
 // registry only when virtual time has moved or its cached state was lost
-// (see nextETA and mayFinish). All scratch
-// state (component work-lists, per-link capacities and counts) lives in
-// reusable buffers on the Network and the links themselves, so steady-state
-// resharing performs no allocation.
+// (see nextETA and mayFinish). The next completion is one re-armable
+// sim.Timer, moved in place by every reshare. All scratch state (component
+// work-lists, per-link capacities and counts) lives in reusable buffers on
+// the Network and the links themselves, so steady-state resharing performs
+// no allocation.
 type Network struct {
 	eng    *sim.Engine
 	active []*Flow // dense registry; Flow.idx is the position
 	lastAt sim.Time
-	epoch  int64 // invalidates stale completion events
+
+	// timer fires at the earliest projected flow completion. Each reshare
+	// re-arms it, taking the sequence number a freshly scheduled event would,
+	// so a superseded projection leaves no stale firing behind.
+	timer *sim.Timer
 
 	// capEpoch counts SetCapacity calls; callers that cache link-derived
 	// rate limits (compiled collective plans) revalidate against it.
@@ -81,10 +86,6 @@ type Network struct {
 	// small — and gates retireFinished's registry walk.
 	mayFinish bool
 
-	// cePool recycles completion events (and their bound closures) so
-	// steady-state re-arming allocates nothing.
-	cePool []*completionEvent
-
 	// Reusable scratch for reshare: the component work-lists double as the
 	// BFS queue/visited set, finished collects flows to retire before
 	// recomputation mutates the registry.
@@ -94,18 +95,11 @@ type Network struct {
 	finished  []*Flow
 }
 
-// completionEvent carries the epoch stamp of one arming of the network's
-// next-completion timer. The closure is built once per pool entry and reused
-// across armings; an event is back in the pool the moment it fires, since
-// each scheduled firing references a distinct entry.
-type completionEvent struct {
-	epoch int64
-	fn    func()
-}
-
 // NewNetwork creates a network bound to the engine.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{eng: eng}
+	n := &Network{eng: eng}
+	n.timer = eng.NewTimer(n.complete)
+	return n
 }
 
 // Engine returns the simulation engine the network runs on.
@@ -281,7 +275,7 @@ func (n *Network) advance() {
 // reshare retires flows that have (within tolerance) finished, recomputes
 // max-min fair rates for the connected component touched by the change —
 // seeded by a starting flow, a capacity-changed link, and the links of every
-// retired flow — and re-arms the next completion event.
+// retired flow — and re-arms the completion timer.
 func (n *Network) reshare(seedFlow *Flow, seedLink *Link) {
 	n.retireFinished()
 
@@ -555,14 +549,14 @@ func (f *Flow) eta() sim.Time {
 	return eta
 }
 
-// scheduleNextCompletion arms a single event at the earliest projected flow
-// completion, rescanning the registry only when the cached minimum is
-// invalid. Any state change bumps the epoch, so stale events no-op; a fresh
-// event is armed on every reshare all the same, since its sequence number
-// orders it against other events at the same instant.
+// scheduleNextCompletion re-arms the completion timer at the earliest
+// projected flow completion, rescanning the registry only when the cached
+// minimum is invalid. The timer is re-armed on every reshare even when the
+// projection did not move, since its fresh sequence number orders it against
+// other events at the same instant; with no active flow it is disarmed.
 func (n *Network) scheduleNextCompletion() {
-	n.epoch++
 	if len(n.active) == 0 {
+		n.timer.Stop()
 		return
 	}
 	if !n.nextValid {
@@ -581,30 +575,14 @@ func (n *Network) scheduleNextCompletion() {
 		}
 		n.nextETA, n.nextFlow, n.nextValid = soonest, holder, true
 	}
-	ce := n.grabCompletionEvent()
-	ce.epoch = n.epoch
-	n.eng.Schedule(n.nextETA, ce.fn)
+	n.timer.Reset(n.nextETA)
 }
 
-// grabCompletionEvent takes a pooled completion event or builds a new one.
-func (n *Network) grabCompletionEvent() *completionEvent {
-	if k := len(n.cePool); k > 0 {
-		ce := n.cePool[k-1]
-		n.cePool = n.cePool[:k-1]
-		return ce
-	}
-	ce := &completionEvent{} //lint:allow steady-alloc — pool miss: the event rejoins cePool when it fires
-	ce.fn = func() {         //lint:allow steady-alloc — bound once per pooled event, at construction
-		// This firing is the event's last use, so it can rejoin the pool
-		// immediately — the reshare below may re-arm with this very entry.
-		n.cePool = append(n.cePool, ce)
-		if ce.epoch != n.epoch {
-			return
-		}
-		n.advance()
-		n.reshare(nil, nil)
-	}
-	return ce
+// complete is the completion timer's callback: credit the bytes moved up to
+// now, then retire the finished flows and re-rate what they touched.
+func (n *Network) complete() {
+	n.advance()
+	n.reshare(nil, nil)
 }
 
 // Quiesce advances accounting to the current time; call before reading

@@ -379,8 +379,7 @@ func TestSameInstantBurstSkipsScans(t *testing.T) {
 		net.StartFlow(&Flow{Path: []*Link{bigWindowLink("long", 10)}, Bytes: 1e18}, nil)
 	}
 	// Two bursts alternate, each admitted as the other is half done, so
-	// every armed completion event fires within the test instead of
-	// stranding a pooled event behind the long-lived flows.
+	// every step runs until the previous burst completes.
 	var bursts [2][]*Flow
 	for k := range bursts {
 		bursts[k] = make([]*Flow, 32)
@@ -418,7 +417,7 @@ func TestSameInstantBurstSkipsScans(t *testing.T) {
 			nextScans, finishScans)
 	}
 	for i := 0; i < 3; i++ {
-		step() // warm up registries, scratch lists and the event pool
+		step() // warm up registries, scratch lists and the event heap
 	}
 	if nextScans > 1 || finishScans != 0 {
 		t.Errorf("burst of %d admissions cost %d completion rescans and %d finish scans, want <= 1 and 0",
@@ -426,5 +425,25 @@ func TestSameInstantBurstSkipsScans(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, step); avg != 0 {
 		t.Errorf("burst cycle allocates %v allocs/run, want 0", avg)
+	}
+}
+
+// TestBurstKeepsOneCompletionPending: a same-instant burst of single-link
+// StartFlows re-arms the network's one completion timer per admission, so
+// exactly one firing is pending afterwards rather than one per superseded
+// arming.
+func TestBurstKeepsOneCompletionPending(t *testing.T) {
+	eng := sim.New()
+	net := NewNetwork(eng)
+	const n = 16
+	for i := 0; i < n; i++ {
+		net.StartFlow(&Flow{Path: []*Link{link("burst", 10)}, Bytes: 1e6 * float64(1+i)}, nil)
+	}
+	if p := eng.Pending(); p != 1 {
+		t.Fatalf("after a burst of %d admissions %d events are pending, want 1", n, p)
+	}
+	eng.Run()
+	if net.ActiveFlows() != 0 || eng.Pending() != 0 {
+		t.Fatalf("after Run: %d active flows, %d pending, want 0 and 0", net.ActiveFlows(), eng.Pending())
 	}
 }

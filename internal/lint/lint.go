@@ -306,11 +306,11 @@ func DefaultConfig() Config {
 		// computed values need an epsilon (or an allow comment arguing why
 		// bit-equality is intended).
 		"float-eq": {},
-		// The fabric recycles solver scratch and completion events, the
-		// collective layer recycles compiled plans and handles, and the
-		// schedule executor recycles flow sets and stream issue records;
-		// handing a pooled pointer across the exported API would let
-		// callers observe reuse. Each type name binds in its own package's
+		// The fabric recycles handoff transfer records, the collective
+		// layer recycles compiled plans and handles, and the schedule
+		// executor recycles flow sets and stream issue records; handing a
+		// pooled pointer across the exported API would let callers observe
+		// reuse. Each type name binds in its own package's
 		// scope only. The deliberate hand-offs (pooled Handles with a
 		// documented Release contract) carry allow comments.
 		"scratch-escape": {
@@ -319,7 +319,7 @@ func DefaultConfig() Config {
 				"llmbw/internal/schedule", "llmbw/internal/serve",
 			},
 			Options: map[string]string{
-				"types": "completionEvent,Plan,Handle,flowSet,asyncIssue,handoffXfer",
+				"types": "Plan,Handle,flowSet,asyncIssue,handoffXfer",
 			},
 		},
 		// Only internal/runner is allowed to coordinate real goroutines;

@@ -5,11 +5,11 @@ import (
 	"strings"
 )
 
-// scratchEscape guards the fabric's object pools: types listed in the rule's
-// "types" option (comma-separated local type names, e.g. completionEvent) are
-// recycled between uses, so a pointer to one must never cross the package's
-// exported API — a caller holding a pooled object would observe it being
-// reused. The rule flags exported functions or methods whose results mention
+// scratchEscape guards the simulator's object pools: types listed in the
+// rule's "types" option (comma-separated local type names, e.g.
+// handoffXfer) are recycled between uses, so a pointer to one must never
+// cross the package's exported API — a caller holding a pooled object would
+// observe it being reused. The rule flags exported functions or methods whose results mention
 // a pooled type, exported fields of exported structs typed with one, and
 // exported package-level variables holding one.
 type scratchEscape struct{}

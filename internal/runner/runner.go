@@ -10,8 +10,10 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -37,8 +39,9 @@ type Job struct {
 // Map runs fn(0..n-1) on a pool of at most parallel workers and returns the
 // lowest-index error. Indices are dispatched in order; once any invocation
 // fails, no new indices are started (in-flight ones finish), mirroring a
-// serial loop that stops at the first failure. parallel <= 0 selects
-// GOMAXPROCS.
+// serial loop that stops at the first failure. A panicking invocation fails
+// with an error carrying the panic value and stack instead of taking the
+// process down. parallel <= 0 selects GOMAXPROCS.
 func Map(parallel, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	mapInto(parallel, n, fn, errs, nil)
@@ -61,7 +64,7 @@ func mapInto(parallel, n int, fn func(i int) error, errs []error, done func(i in
 	}
 	if parallel <= 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
+			errs[i] = call(fn, i)
 			if done != nil {
 				done(i)
 			}
@@ -83,7 +86,7 @@ func mapInto(parallel, n int, fn func(i int) error, errs []error, done func(i in
 				if i >= n || failed.Load() != 0 {
 					return
 				}
-				err := fn(i)
+				err := call(fn, i)
 				if err != nil {
 					failed.Store(1)
 				}
@@ -97,6 +100,19 @@ func mapInto(parallel, n int, fn func(i int) error, errs []error, done func(i in
 		}()
 	}
 	wg.Wait()
+}
+
+// call runs fn(i), turning a panic into an error that carries the panic
+// value and the panicking goroutine's stack. Workers are goroutines of their
+// own, so an unrecovered panic there would end the process, whoever called
+// Map.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("runner: job %d panicked: %v\n%s", i, v, debug.Stack())
+		}
+	}()
+	return fn(i)
 }
 
 // Run executes jobs on a worker pool. Each job writes to a private buffer;

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +100,86 @@ func TestMapSerialFastPath(t *testing.T) {
 	}
 	if fmt.Sprint(order) != "[0 1 2 3]" {
 		t.Fatalf("serial path ran out of order or past the failure: %v", order)
+	}
+}
+
+// panicCase is a batch whose index 1 panics after writing partial output.
+// Index 0 succeeds; on a pool it returns only after index 1 has panicked, so
+// the pool has recorded the failure before any worker could claim a later
+// index. started counts the indices past 1 that ran.
+type panicCase struct {
+	parallel  int
+	panicking chan struct{}
+	started   atomic.Int64
+}
+
+func newPanicCase(parallel int) *panicCase {
+	return &panicCase{parallel: parallel, panicking: make(chan struct{})}
+}
+
+func (pc *panicCase) job(i int, w io.Writer) error {
+	switch i {
+	case 0:
+		if pc.parallel > 1 {
+			<-pc.panicking
+			time.Sleep(50 * time.Millisecond)
+		}
+		fmt.Fprintln(w, "zero")
+	case 1:
+		fmt.Fprintln(w, "one-partial")
+		close(pc.panicking)
+		panic("boom")
+	default:
+		pc.started.Add(1)
+	}
+	return nil
+}
+
+// checkPanicErr requires err to carry the panic value and a goroutine stack.
+func checkPanicErr(t *testing.T, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("panicking job returned no error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "panicked: boom") || !strings.Contains(msg, "goroutine ") {
+		t.Fatalf("error lacks the panic value or its stack: %q", msg)
+	}
+}
+
+// TestMapRecoversPanic: a panicking index fails the call with an error
+// instead of ending the process, serially and on a pool, and no later index
+// starts.
+func TestMapRecoversPanic(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		pc := newPanicCase(parallel)
+		err := runner.Map(parallel, 6, func(i int) error { return pc.job(i, io.Discard) })
+		checkPanicErr(t, err)
+		if n := pc.started.Load(); n != 0 {
+			t.Errorf("parallel=%d: %d indices after the panic started", parallel, n)
+		}
+	}
+}
+
+// TestRunRecoversPanic: Run returns a panicking job's error after flushing
+// the output of every earlier job and the panicking job's partial output,
+// exactly as for a job that returns an error, and starts no later job.
+func TestRunRecoversPanic(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		pc := newPanicCase(parallel)
+		jobs := make([]runner.Job, 6)
+		for i := range jobs {
+			i := i
+			jobs[i] = runner.Job{ID: fmt.Sprint(i), Run: func(w io.Writer) error { return pc.job(i, w) }}
+		}
+		var buf bytes.Buffer
+		err := runner.Run(&buf, parallel, jobs)
+		checkPanicErr(t, err)
+		if want := "zero\none-partial\n"; buf.String() != want {
+			t.Errorf("parallel=%d: flushed %q, want %q", parallel, buf.String(), want)
+		}
+		if n := pc.started.Load(); n != 0 {
+			t.Errorf("parallel=%d: %d jobs after the panic started", parallel, n)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,7 +13,8 @@ import (
 //
 //   - Singleflight: concurrent Do calls for one key share a single compute;
 //     every caller gets the same value (and the same error — deterministic
-//     failures are as cacheable as results).
+//     failures are as cacheable as results, and a compute that panics is
+//     recorded as one).
 //   - LRU: insertion beyond the entry cap evicts the least-recently-used
 //     entries. Values are immutable shared pointers, so eviction only drops
 //     the cache's reference — consumers holding an evicted artifact keep a
@@ -67,14 +70,21 @@ func (c *Cache) Name() string { return c.name }
 
 // Do returns the artifact for key, computing it with fn on a miss.
 // Concurrent calls for the same key coalesce onto one fn invocation. The
-// returned value is shared: callers must treat it as immutable.
+// returned value is shared: callers must treat it as immutable. A panic in
+// fn becomes the entry's error, carrying the panic value and stack, so every
+// caller of the key gets that error rather than an empty artifact.
 //
 //lint:cold
 func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 	e := c.acquire(key)
 	e.once.Do(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				e.val, e.err = nil, fmt.Errorf("scenario: %s %q panicked: %v\n%s", c.name, key, v, debug.Stack())
+			}
+			e.done.Store(true)
+		}()
 		e.val, e.err = fn()
-		e.done.Store(true)
 	})
 	return e.val, e.err
 }

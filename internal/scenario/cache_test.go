@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,6 +129,24 @@ func TestCacheCachesDeterministicErrors(t *testing.T) {
 		return nil, nil
 	}); err != want {
 		t.Fatalf("second Do = %v; want the cached error", err)
+	}
+}
+
+// TestCacheRecordsPanicAsError: a compute that panics leaves its entry
+// holding an error with the panic value, and a second Do on the key returns
+// that same error without recomputing.
+func TestCacheRecordsPanicAsError(t *testing.T) {
+	c := scenario.New("test.panics", 8)
+	_, first := c.Do("boom", func() (any, error) { panic("bad scenario") })
+	if first == nil || !strings.Contains(first.Error(), "panicked: bad scenario") {
+		t.Fatalf("Do = %v; want an error carrying the panic value", first)
+	}
+	v, again := c.Do("boom", func() (any, error) {
+		t.Error("a panicked entry must be served, not recomputed")
+		return 1, nil
+	})
+	if v != nil || again != first {
+		t.Fatalf("second Do = (%v, %v); want (nil, the first error)", v, again)
 	}
 }
 

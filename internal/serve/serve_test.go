@@ -196,9 +196,14 @@ func requestLog(t *testing.T, cfg Config) string {
 	return buf.String()
 }
 
-// TestServeDeterminismAB pins the determinism contract: the per-request log
-// is byte-identical between serial-merge and parallel-window execution, for
-// every placement and fabric family.
+// TestServeDeterminismAB checks that the sim.Sharded toggle leaves serving's
+// per-request log untouched. Every case runs on one engine or one shard: the
+// testbed cases on its plain sim.Engine, which the toggle never reaches, and
+// the datacenter case on a one-shard ShardedEngine, where serial merge and a
+// single parallel window pop events in the same order by construction. So it
+// pins only that the sharded engine does not perturb one-shard serving; it
+// cannot show a divergence between shards, and no placement or fabric family
+// beyond these three is covered here.
 func TestServeDeterminismAB(t *testing.T) {
 	defer func(s bool) { sim.Sharded = s }(sim.Sharded)
 	for _, base := range []struct {
@@ -298,15 +303,23 @@ func TestServeRequestLogGolden(t *testing.T) {
 // steadyRunner builds a colocated runner whose decode batch can be pinned
 // full: closed loop at full concurrency, long generations.
 func steadyRunner(tb testing.TB) *Runner {
-	cfg := Config{
-		Arrival:      ClosedLoop,
-		Concurrency:  8,
-		Requests:     8,
-		MaxBatch:     8,
-		PromptTokens: 256,
-		DecodeTokens: 128,
-		Window:       1 << 40,
+	return steadyRunnerOn(tb, Config{})
+}
+
+// steadyRunnerOn builds the closed-loop decode probe's runner over base's
+// fabric, tensor parallelism and request count (zero fields take the testbed
+// defaults): 8 concurrent requests per replica, which fill its batch.
+func steadyRunnerOn(tb testing.TB, base Config) *Runner {
+	cfg := base
+	cfg.Arrival = ClosedLoop
+	if cfg.Requests == 0 {
+		cfg.Requests = 8
 	}
+	cfg.Concurrency = cfg.Requests
+	cfg.MaxBatch = 8
+	cfg.PromptTokens = 256
+	cfg.DecodeTokens = 128
+	cfg.Window = 1 << 40
 	r, err := NewRunner(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -314,8 +327,8 @@ func steadyRunner(tb testing.TB) *Runner {
 	return r
 }
 
-// fillBatch admits every request of the runner's one replica and runs its
-// prefill, leaving the decode batch at full width.
+// fillBatch admits every request of the runner's first decode replica and
+// runs its prefill, leaving the decode batch at full width.
 func fillBatch(r *Runner, p *sim.Proc) *replica {
 	rep := r.replicas[0]
 	rep.w = sim.NewWaiter(p)
@@ -327,36 +340,47 @@ func fillBatch(r *Runner, p *sim.Proc) *replica {
 }
 
 // TestServeDecodeReplayAllocFree pins the serving tentpole's steady-state
-// claim: once the executor pools are warm, replaying decode steps through
-// the shared scheduler and the testbed's step model allocates nothing.
+// claim: once warm, replaying decode steps through the shared scheduler
+// allocates nothing, both through the testbed's pooled executors and through
+// the datacenter step model's preallocated NVSwitch flows.
 func TestServeDecodeReplayAllocFree(t *testing.T) {
 	// runtime.MemStats is process-wide: at GOMAXPROCS > 1 the runtime's own
 	// work (a sudog for the proc↔engine channel handoff after the goroutine
 	// changes Ps, the background scavenger's timer) can land inside the
 	// window. Pin it to 1, as testing.AllocsPerRun does.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	r := steadyRunner(t)
-	const measured = 8
-	var mallocs uint64
-	r.eng.Go("alloc-probe", func(p *sim.Proc) {
-		rep := fillBatch(r, p)
-		for i := 0; i < 4; i++ {
-			r.decodeStep(p, rep) // warm every executor pool
+	for _, tc := range []struct {
+		name string
+		base Config
+	}{
+		{"testbed", Config{}},
+		// Eight colocated replicas of eight requests each, TP=2 so every
+		// step crosses the node's NVSwitch flow.
+		{"fat-tree", Config{Topo: "fat-tree:nodes=8", TensorParallel: 2, Requests: 64}},
+	} {
+		r := steadyRunnerOn(t, tc.base)
+		const measured = 8
+		var mallocs uint64
+		r.eng.Go("alloc-probe", func(p *sim.Proc) {
+			rep := fillBatch(r, p)
+			for i := 0; i < 4; i++ {
+				r.decodeStep(p, rep) // warm every executor pool
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < measured; i++ {
+				r.decodeStep(p, rep)
+			}
+			runtime.ReadMemStats(&m1)
+			mallocs = m1.Mallocs - m0.Mallocs
+			if rep.bn != len(rep.batch) {
+				t.Errorf("%s: decode batch drained to %d during measurement", tc.name, rep.bn)
+			}
+		})
+		r.eng.Run()
+		if got := float64(mallocs) / measured; got != 0 {
+			t.Errorf("%s: steady decode replay allocates %v allocs/step, want 0", tc.name, got)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < measured; i++ {
-			r.decodeStep(p, rep)
-		}
-		runtime.ReadMemStats(&m1)
-		mallocs = m1.Mallocs - m0.Mallocs
-		if rep.bn != len(rep.batch) {
-			t.Errorf("decode batch drained to %d during measurement", rep.bn)
-		}
-	})
-	r.eng.Run()
-	if got := float64(mallocs) / measured; got != 0 {
-		t.Errorf("steady decode replay allocates %v allocs/step, want 0", got)
 	}
 }
 

@@ -4,7 +4,9 @@
 //
 // The engine owns a virtual clock measured in nanoseconds. Events are
 // callbacks scheduled at absolute virtual times and executed in (time, seq)
-// order, so runs are fully deterministic. Processes (Proc) are goroutines
+// order, so runs are fully deterministic. A re-armable Timer takes its place
+// in that order exactly as a freshly scheduled event would, without leaving
+// superseded firings behind. Processes (Proc) are goroutines
 // that interleave cooperatively with the event loop: at any moment either the
 // engine or exactly one process is running, which keeps the simulation
 // race-free without locks in model code.
@@ -80,6 +82,14 @@ type Engine struct {
 
 	procs   int // live processes (for leak detection)
 	stopped bool
+
+	// Re-armable timers live outside the heap. timers registers every
+	// timer made by NewTimer, armed counts the armed ones, and first caches
+	// the earliest armed timer by (at, seq) — nil when none is armed — so
+	// the run loop compares the heap root against one cached entry.
+	timers []*Timer
+	armed  int
+	first  *Timer
 }
 
 // push inserts ev into the heap.
@@ -173,7 +183,18 @@ func (e *Engine) Run() Time { return e.RunUntil(1<<62 - 1) }
 // ran out of work, so callers can distinguish the two outcomes.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for !e.stopped {
+		if t := e.dueTimer(); t != nil {
+			if t.at > deadline {
+				e.now = deadline
+				return e.now
+			}
+			e.fire(t)
+			continue
+		}
+		if len(e.events) == 0 {
+			break
+		}
 		if e.events[0].at > deadline {
 			// Reached the horizon with work still queued: jump the clock
 			// to the deadline and leave the remaining events pending.
@@ -188,13 +209,38 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// peek returns the timestamp of the next pending event; ok is false when the
-// queue is empty.
+// dueTimer returns the earliest armed timer when it precedes the heap root
+// in (time, seq) order, or nil when the heap root (or nothing) runs next.
+func (e *Engine) dueTimer() *Timer {
+	t := e.first
+	if t == nil || (len(e.events) > 0 && !t.precedes(&e.events[0])) {
+		return nil
+	}
+	return t
+}
+
+// peek returns the timestamp of the next pending event or armed timer; ok is
+// false when nothing is pending.
 func (e *Engine) peek() (Time, bool) {
+	if t := e.dueTimer(); t != nil {
+		return t.at, true
+	}
 	if len(e.events) == 0 {
 		return 0, false
 	}
 	return e.events[0].at, true
+}
+
+// runNext executes the next pending event or armed timer. Something must be
+// pending.
+func (e *Engine) runNext() {
+	if t := e.dueTimer(); t != nil {
+		e.fire(t)
+		return
+	}
+	ev := e.pop()
+	e.now = ev.at
+	ev.fn()
 }
 
 // runWindow executes events with timestamps strictly below bound, leaving
@@ -203,13 +249,11 @@ func (e *Engine) peek() (Time, bool) {
 // It is the building block of the sharded engine's conservative windows,
 // where the bound is a horizon no cross-shard influence can penetrate.
 func (e *Engine) runWindow(bound Time) {
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at >= bound {
+	for !e.stopped {
+		if at, ok := e.peek(); !ok || at >= bound {
 			return
 		}
-		ev := e.pop()
-		e.now = ev.at
-		ev.fn()
+		e.runNext()
 	}
 }
 
@@ -225,8 +269,8 @@ func (e *Engine) inject(at Time, seq int64, fn func()) {
 	e.push(event{at: at, seq: seq, fn: fn})
 }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports the number of scheduled events plus armed timers.
+func (e *Engine) Pending() int { return len(e.events) + e.armed }
 
 // LiveProcs reports the number of processes that have started and not yet
 // returned. A nonzero value after Run means processes are deadlocked waiting

@@ -57,12 +57,12 @@ type injection struct {
 //
 //	h(i) = min( min_{j≠i} next(j) + dist(j,i),  next(i) + cyc(i) )
 //
-// where next(j) is shard j's earliest pending event, dist is the all-pairs
-// shortest path over declared lookaheads, and cyc(i) is the shortest cycle
-// through i — the earliest time shard i's own future sends could loop back
-// via other shards. No injection can arrive below h(i), so the window's
-// event order equals the serial merge order and the two modes produce
-// byte-identical output.
+// where next(j) is shard j's earliest pending event or armed timer, dist is
+// the all-pairs shortest path over declared lookaheads, and cyc(i) is the
+// shortest cycle through i — the earliest time shard i's own future sends
+// could loop back via other shards. No injection can arrive below h(i), so
+// the window's event order equals the serial merge order and the two modes
+// produce byte-identical output.
 type ShardedEngine struct {
 	shards []*Engine
 
@@ -93,7 +93,7 @@ type ShardedEngine struct {
 	// granularity at which the parallel engine can observe anything).
 	stopReq atomic.Bool
 
-	next []Time // scratch: earliest pending event per shard
+	next []Time // scratch: earliest pending event or armed timer per shard
 }
 
 // NewSharded returns a sharded engine with n sub-engines and no connectivity:
@@ -218,8 +218,8 @@ func (se *ShardedEngine) Now() Time {
 	return t
 }
 
-// Pending sums pending events across shards (outboxes are always empty
-// between runs).
+// Pending sums pending events and armed timers across shards (outboxes are
+// always empty between runs).
 func (se *ShardedEngine) Pending() int {
 	n := 0
 	for _, sh := range se.shards {
@@ -285,9 +285,7 @@ func (se *ShardedEngine) runSerial(deadline Time) Time {
 			return se.jumpTo(deadline)
 		}
 		sh := se.shards[best]
-		ev := sh.pop()
-		sh.now = ev.at
-		ev.fn()
+		sh.runNext()
 		if sh.stopped || se.stopReq.Load() {
 			return se.Now()
 		}
@@ -477,7 +475,7 @@ func (se *ShardedEngine) jumpTo(deadline Time) Time {
 
 func (se *ShardedEngine) anyPending() bool {
 	for _, sh := range se.shards {
-		if len(sh.events) > 0 {
+		if sh.Pending() > 0 {
 			return true
 		}
 	}

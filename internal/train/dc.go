@@ -16,10 +16,11 @@ import (
 // homogeneous nodes, no offload or NVMe machinery, and the iteration reduced
 // to its scale-determining skeleton — lockstep compute, the strategy's
 // collectives over the whole fabric, and the optimizer step. What it adds is
-// the part the testbed cannot show: every node runs as its own simulation
-// process on its home shard, and with a hierarchical algorithm the
-// cross-node legs are store-and-forward handoffs, so the -shards knob
-// parallelizes the run along the fabric's pod seams.
+// the part the testbed cannot show: every node runs its own trainer on its
+// home shard, a callback state machine over the strategy's step list (no
+// goroutine per node), and with a hierarchical algorithm the cross-node legs
+// are store-and-forward handoffs, so the -shards knob parallelizes the run
+// along the fabric's pod seams.
 func runDC(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -67,70 +68,77 @@ func runDC(cfg Config) (*Result, error) {
 
 	// Every collective shape the iteration uses is compiled up front: replay
 	// only reads the plan map, which keeps StartNode safe from every shard.
-	var iterate func(p *sim.Proc, node int)
+	var steps []dcStep
 	switch cfg.Strategy {
 	case DDP:
-		grp.Precompile(collective.AllReduce, gradBytes)
-		iterate = func(p *sim.Proc, node int) {
-			p.Sleep(computeT)
-			grp.RunNode(p, collective.AllReduce, gradBytes, node)
-			p.Sleep(adamFull)
+		steps = []dcStep{
+			{dur: computeT},
+			{coll: true, op: collective.AllReduce, payload: gradBytes},
+			{dur: adamFull},
 		}
 	case ZeRO1, ZeRO2:
-		grp.Precompile(collective.ReduceScatter, gradBytes)
-		grp.Precompile(collective.AllGather, paramBytes)
-		iterate = func(p *sim.Proc, node int) {
-			p.Sleep(computeT)
-			grp.RunNode(p, collective.ReduceScatter, gradBytes, node)
-			p.Sleep(adamShard)
-			grp.RunNode(p, collective.AllGather, paramBytes, node)
+		steps = []dcStep{
+			{dur: computeT},
+			{coll: true, op: collective.ReduceScatter, payload: gradBytes},
+			{dur: adamShard},
+			{coll: true, op: collective.AllGather, payload: paramBytes},
 		}
 	case ZeRO3:
-		grp.Precompile(collective.AllGather, paramBytes)
-		grp.Precompile(collective.ReduceScatter, gradBytes)
-		iterate = func(p *sim.Proc, node int) {
-			grp.RunNode(p, collective.AllGather, paramBytes, node)
-			p.Sleep(fwdT)
-			grp.RunNode(p, collective.AllGather, paramBytes, node)
-			p.Sleep(bwdT)
-			grp.RunNode(p, collective.ReduceScatter, gradBytes, node)
-			p.Sleep(adamShard)
+		steps = []dcStep{
+			{coll: true, op: collective.AllGather, payload: paramBytes},
+			{dur: fwdT},
+			{coll: true, op: collective.AllGather, payload: paramBytes},
+			{dur: bwdT},
+			{coll: true, op: collective.ReduceScatter, payload: gradBytes},
+			{dur: adamShard},
 		}
 	default:
 		return nil, fmt.Errorf("train: %v is not supported on generated fabrics", cfg.Strategy)
 	}
+	for _, s := range steps {
+		if s.coll {
+			grp.Precompile(s.op, s.payload)
+		}
+	}
 
-	// One trainer process per node, living on the node's shard. starts/ends
-	// are indexed per node, so each shard writes only its own slots.
-	starts := make([]sim.Time, cfg.Nodes)
-	ends := make([]sim.Time, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
-		n := n
-		sc.EngineOf(n).Go(fmt.Sprintf("dc-trainer-%d", n), func(p *sim.Proc) {
-			for i := 0; i < cfg.Warmup; i++ {
-				iterate(p, n)
-			}
-			starts[n] = p.Now()
-			for i := 0; i < cfg.Iterations; i++ {
-				iterate(p, n)
-			}
-			ends[n] = p.Now()
-		})
+	// One trainer per node, living on the node's shard: each touches only
+	// its own record, and starts in node order at time zero. A negative
+	// iteration count runs none, as a counted loop would.
+	warm := max(0, cfg.Warmup) * len(steps)
+	total := warm + max(0, cfg.Iterations)*len(steps)
+	trainers := make([]*dcTrainer, cfg.Nodes)
+	for n := range trainers {
+		t := &dcTrainer{
+			eng:   sc.EngineOf(n),
+			grp:   grp,
+			node:  n,
+			steps: steps,
+			warm:  warm,
+			total: total,
+		}
+		t.resume = t.run
+		trainers[n] = t
+		t.eng.Schedule(0, t.resume)
 	}
 	sc.RunSim()
-	if n := sc.Eng.LiveProcs(); n != 0 {
-		return nil, fmt.Errorf("train: simulation deadlocked with %d live processes", n)
+	stuck := 0
+	for _, t := range trainers {
+		if !t.done {
+			stuck++
+		}
+	}
+	if stuck != 0 {
+		return nil, fmt.Errorf("train: simulation deadlocked with %d trainers short of their program's end", stuck)
 	}
 	for _, g := range sc.Groups {
 		g.Net.Quiesce()
 	}
 
 	res := &Result{Config: cfg, Profile: prof}
-	res.MeasureStart = starts[0]
-	res.MeasureEnd = ends[0]
-	for _, e := range ends {
-		if e > res.MeasureEnd {
-			res.MeasureEnd = e
+	res.MeasureStart = trainers[0].start
+	for _, t := range trainers {
+		if t.end > res.MeasureEnd {
+			res.MeasureEnd = t.end
 		}
 	}
 	res.Iterations = cfg.Iterations
@@ -149,4 +157,57 @@ func runDC(cfg Config) (*Result, error) {
 		res.Stats[class] = s.Stats()
 	}
 	return res, nil
+}
+
+// dcStep is one step of a datacenter iteration: a collective round of
+// (op, payload) when coll is set, otherwise a compute phase of dur.
+type dcStep struct {
+	coll    bool
+	op      collective.Op
+	payload float64
+	dur     sim.Time
+}
+
+// dcTrainer is one node's trainer: a callback state machine whose program
+// counter walks the strategy's step list Warmup+Iterations times. A step
+// that takes virtual time hands resume to the engine — as a collective's
+// completion or a compute sleep — and returns; a zero-length compute step
+// continues inline. All of its state is the node's own, so it runs on the
+// node's home shard alongside the collective records it drives.
+type dcTrainer struct {
+	eng   *sim.Engine
+	grp   *collective.DCGroup
+	node  int
+	steps []dcStep
+	warm  int // program steps before the measured window
+	total int // program steps in all
+	pc    int // next program step
+
+	start, end sim.Time // clock at the measured window's edges
+	done       bool     // reached the end of the program
+	resume     func()   // run, bound once
+}
+
+// run executes the program from pc until a step blocks or the program ends.
+func (t *dcTrainer) run() {
+	for {
+		if t.pc == t.warm {
+			t.start = t.eng.Now()
+		}
+		if t.pc == t.total {
+			t.end = t.eng.Now()
+			t.done = true
+			return
+		}
+		s := &t.steps[t.pc%len(t.steps)]
+		t.pc++
+		if s.coll {
+			t.grp.StartNode(s.op, s.payload, t.node, t.resume)
+			return
+		}
+		if s.dur > 0 {
+			t.eng.Schedule(s.dur, t.resume)
+			return
+		}
+	}
 }

@@ -3,6 +3,7 @@ package train
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,5 +178,32 @@ func TestDCValidate(t *testing.T) {
 	d, _ := ft.ScenarioKey()
 	if d == a {
 		t.Error("cache key ignores Topo")
+	}
+}
+
+// BenchmarkDCTrain measures one datacenter training run end to end: the
+// fabric built from its cached blueprint, plans bound to it, and the
+// callback trainers driving 2-level ZeRO-3 collectives on the sharded
+// engine, for a 10B-parameter model on a 256-node fat-tree at 1 and 2
+// shards.
+func BenchmarkDCTrain(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cfg := Config{
+				Strategy:   ZeRO3,
+				Model:      model.NewGPT(197),
+				Topo:       "fat-tree:nodes=256",
+				Algo:       "2level",
+				Shards:     shards,
+				Iterations: 2,
+				Warmup:     1,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
