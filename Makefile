@@ -61,8 +61,10 @@ fuzz-smoke:
 ## allocations) and the datacenter training run (ZeRO-3, 2-level, 256-node
 ## fat-tree at 1 and 2 shards) in BENCH_train.json,
 ## and the sharded-engine serial-vs-parallel steady-state scaling grid
-## (1/2/4 shards at 2/8/16 nodes of a one-node-pod fat-tree) in
-## BENCH_sim.json, and the datacenter-collective grid (flat on 1 shard,
+## (1/2/4 shards at 2/8/16 nodes of a one-node-pod fat-tree) together with
+## the event core's same-instant burst benchmark (zero-delay bursts beside a
+## ~1k-entry heap, pinned at 0 allocs/op) in BENCH_sim.json, and the
+## datacenter-collective grid (flat on 1 shard,
 ## 2-level and multi-ring on 1/4/8 shards, × 16/64/256 nodes, with
 ## allocs/op pinning the zero-alloc replay) in BENCH_topo.json, and the
 ## serving-layer cold-vs-warm request benchmark (cache miss re-simulates a
@@ -74,7 +76,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'FabricFairShare|SimEngineEvents|CollectiveAllReduce' -benchmem -json . > BENCH_fabric.json
 	$(GO) test -run '^$$' -bench 'CollectiveReplaySteady' -benchmem -json . > BENCH_collective.json
 	$(GO) test -run '^$$' -bench 'ScheduleReplaySteady|DCTrain' -benchmem -json ./internal/train > BENCH_train.json
-	$(GO) test -run '^$$' -bench 'ShardedEngineSteady' -benchmem -json ./internal/sim > BENCH_sim.json
+	$(GO) test -run '^$$' -bench 'ShardedEngineSteady|SimEngineSameInstant' -benchmem -json ./internal/sim > BENCH_sim.json
 	$(GO) test -run '^$$' -bench 'HierarchicalAllReduce' -benchmem -json ./internal/collective > BENCH_topo.json
 	$(GO) test -run '^$$' -bench 'ServeColdRun|ServeWarmRun|ServeWarmSweep|ScenarioCacheWarmGet|ServeDecodeSteady' -benchmem -json ./cmd/servesim ./internal/scenario ./internal/serve > BENCH_serve.json
 	@grep -oh '"Output":"Benchmark[^"]*' BENCH_fabric.json BENCH_collective.json BENCH_train.json BENCH_sim.json BENCH_topo.json BENCH_serve.json | grep -o 'Benchmark[A-Za-z]*' | sort -u

@@ -10,6 +10,7 @@
 //	bwchar -iterations 5 -pattern-seconds 60 all
 //	bwchar -parallel 4 all-ext
 //	bwchar -cpuprofile bwchar.prof all
+//	bwchar -memprofile bwchar-mem.prof all
 package main
 
 import (
@@ -61,6 +62,7 @@ func main() {
 	topo := flag.String("topo", "", `extra fabric spec for the datacenter studies, e.g. "fat-tree:nodes=32"`)
 	algo := flag.String("algo", "", "collective algorithm for the datacenter studies: flat | 2level | multiring")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	memprofile := flag.String("memprofile", "", "write the allocs profile of the run to this file after it ends (go tool pprof format)")
 	flag.Parse()
 	*parallel = runner.ClampParallel(*parallel)
 	*shards = runner.ClampParallel(*shards)
@@ -115,6 +117,14 @@ func main() {
 		}
 		defer stop()
 	}
+	if *memprofile != "" {
+		write, err := startMemProfile(*memprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bwchar:", err)
+			os.Exit(1)
+		}
+		defer write()
+	}
 
 	// Each experiment owns a private simulation engine, so they run on a
 	// worker pool; the runner flushes outputs in submission order, so the
@@ -150,6 +160,26 @@ func startCPUProfile(path string) (stop func(), err error) {
 	return func() {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "bwchar:", err)
+		}
+	}, nil
+}
+
+// startMemProfile creates path, so a bad path fails before the run, and
+// returns the function that writes the allocs profile (every allocation
+// sampled since the process started) into it and closes the file.
+func startMemProfile(path string) (write func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		runtime.GC() // the profile counts allocations up to the last completed GC
+		err := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "bwchar:", err)
 		}
 	}, nil

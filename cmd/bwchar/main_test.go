@@ -142,15 +142,21 @@ func runBwchar(t *testing.T, args ...string) []byte {
 
 // TestCPUProfileFlag: -cpuprofile writes a non-empty profile and leaves
 // stdout byte-identical to the same run without it.
-func TestCPUProfileFlag(t *testing.T) {
+func TestCPUProfileFlag(t *testing.T) { checkProfileFlag(t, "-cpuprofile") }
+
+// TestMemProfileFlag: -memprofile writes a non-empty allocs profile after
+// the run and leaves stdout byte-identical to the same run without it.
+func TestMemProfileFlag(t *testing.T) { checkProfileFlag(t, "-memprofile") }
+
+func checkProfileFlag(t *testing.T, flag string) {
 	args := []string{"-parallel", "1", "-iterations", "1", "fig3"}
 	plain := runBwchar(t, args...)
-	path := filepath.Join(t.TempDir(), "cpu.prof")
-	profiled := runBwchar(t, append([]string{"-cpuprofile", path}, args...)...)
+	path := filepath.Join(t.TempDir(), "out.prof")
+	profiled := runBwchar(t, append([]string{flag, path}, args...)...)
 	if len(plain) == 0 || !bytes.Equal(plain, profiled) {
-		t.Errorf("stdout with -cpuprofile differs from the plain run:\n%s\nvs\n%s", profiled, plain)
+		t.Errorf("stdout with %s differs from the plain run:\n%s\nvs\n%s", flag, profiled, plain)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Errorf("profile %s missing or empty: %v", path, err)
+		t.Errorf("%s file %s missing or empty: %v", flag, path, err)
 	}
 }

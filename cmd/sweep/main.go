@@ -6,6 +6,7 @@
 //
 //	sweep -strategy zero2 -offload cpu -nodes 1 -sizes 0.7,1.4,2.9,5.2
 //	sweep -cpuprofile sweep.prof -strategy zero3 -topo fat-tree:nodes=256 -algo 2level
+//	sweep -memprofile sweep-mem.prof -strategy zero3 -topo fat-tree:nodes=256 -algo 2level
 package main
 
 import (
@@ -44,6 +45,7 @@ func main() {
 	topo := flag.String("topo", "", `generated fabric spec, e.g. "fat-tree:nodes=16" (default: the paper testbed)`)
 	algo := flag.String("algo", "", "collective algorithm on generated fabrics: flat | 2level | multiring")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof format)")
+	memprofile := flag.String("memprofile", "", "write the allocs profile of the sweep to this file after it ends (go tool pprof format)")
 	flag.Parse()
 	*parallel = runner.ClampParallel(*parallel)
 	*shards = runner.ClampParallel(*shards)
@@ -88,6 +90,14 @@ func main() {
 			os.Exit(1)
 		}
 		defer stop()
+	}
+	if *memprofile != "" {
+		write, err := startMemProfile(*memprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+			os.Exit(1)
+		}
+		defer write()
 	}
 
 	// On a generated fabric the node count lives in base.Name()'s topo spec;
@@ -156,6 +166,26 @@ func startCPUProfile(path string) (stop func(), err error) {
 	return func() {
 		pprof.StopCPUProfile()
 		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "sweep:", err)
+		}
+	}, nil
+}
+
+// startMemProfile creates path, so a bad path fails before the sweep, and
+// returns the function that writes the allocs profile (every allocation
+// sampled since the process started) into it and closes the file.
+func startMemProfile(path string) (write func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		runtime.GC() // the profile counts allocations up to the last completed GC
+		err := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
 		}
 	}, nil

@@ -104,14 +104,21 @@ func postOp(op Op) (Op, bool) {
 }
 
 // DCGroup runs collectives over every node of a datacenter cluster. Plans
-// are compiled once per (op, payload) shape — preallocated flows, interned
-// routes, capacity-epoch-fenced stream caps, bound-once closures — and
+// are compiled once per (op, payload) shape — preallocated flows, the
+// group's shared ring routes and stream caps, bound-once closures — and
 // replayed with zero allocations. Precompile every shape before the
 // simulation starts: compilation populates a map that replay then reads
 // concurrently from all shards.
 type DCGroup struct {
 	sc   *topology.DCShardedCluster
 	algo Algo
+
+	// routes and nv are the cluster-bound parts every hierarchical plan
+	// references, built once per group: routes[node*rails+rail] is the
+	// node's rail stripe to its ring successor, and nv[node:node+1] the
+	// node's NVSwitch flow path.
+	routes []dcRoute
+	nv     []*fabric.Link
 
 	plans    map[dcKey]dcPlan
 	compiled int
@@ -122,30 +129,42 @@ type dcKey struct {
 	payload float64
 }
 
+// dcRoute is one rail stripe from a node to its ring successor: the
+// handoff, the route's sender- and receiver-owned halves with their
+// capacity-epoch-fenced stream caps, and its extra switching latency. Plans
+// share a route read-only; each cap is evaluated only on the shard owning
+// its half, whichever plan's leg asks.
+type dcRoute struct {
+	h                *fabric.Handoff
+	extra            sim.Time
+	srcCap, dstCap   *fabric.PathCap
+	srcPath, dstPath []*fabric.Link
+}
+
 // dcPlan is the compiled per-shape schedule: one record per node. Flat plans
 // additionally share a joiner (global completion, like the fused ring).
 type dcPlan struct {
-	nodes []*dcNode
+	nodes []dcNode
 	join  *flatJoin // non-nil for flat plans
 }
 
 // dcNode is one node's compiled schedule and per-round state. All mutable
 // fields are touched only from the node's own shard: startNode and the
 // pre/post flow completions run there by construction, and an inbound leg's
-// onLand closure is bound to the *destination* record, so the handoff
+// land closure is bound to the *destination* record, so the handoff
 // executes it on the destination shard.
 type dcNode struct {
-	g    *DCGroup
 	eng  *sim.Engine
 	net  *fabric.Network
 	node int
 
-	pre, post        fabric.Flow
-	prePath, posPath []*fabric.Link
-	hasPre, hasPost  bool
-	legs             []dcLeg
-	expect           int // inbound legs per round
-	crossLat         sim.Time
+	pre, post       fabric.Flow
+	hasPre, hasPost bool
+	routes          []dcRoute // outbound legs, one per rail
+	legName         []string  // per rail
+	legBytes        float64
+	expect          int // inbound legs per round
+	crossLat        sim.Time
 
 	// round state
 	preDone bool
@@ -154,20 +173,6 @@ type dcNode struct {
 
 	// bound-once closures
 	launch, land, after, postCB func()
-}
-
-// dcLeg is one compiled outbound handoff leg (rail stripe to the ring
-// successor).
-type dcLeg struct {
-	h        *fabric.Handoff
-	name     string
-	bytes    float64
-	extra    sim.Time
-	srcCap   *fabric.PathCap
-	dstCap   *fabric.PathCap
-	srcPath  []*fabric.Link
-	dstPath  []*fabric.Link
-	destLand func() // successor-side arrival; runs on the successor's shard
 }
 
 // flatJoin is the flat ring's global completion: the fused ring finishes
@@ -194,7 +199,43 @@ func NewDCGroup(sc *topology.DCShardedCluster, algo Algo) *DCGroup {
 	if algo == AlgoFlat && sc.Part.Shards > 1 {
 		panic(fmt.Sprintf("collective: flat algorithm on a %d-shard cluster", sc.Part.Shards))
 	}
-	return &DCGroup{sc: sc, algo: algo, plans: make(map[dcKey]dcPlan)}
+	g := &DCGroup{sc: sc, algo: algo, plans: make(map[dcKey]dcPlan)}
+	if algo != AlgoFlat {
+		g.bindRoutes()
+	}
+	return g
+}
+
+// bindRoutes builds the ring routes and NVSwitch paths hierarchical plans
+// share, from three slabs: route records, stream caps and route links.
+func (g *DCGroup) bindRoutes() {
+	sc := g.sc
+	n, rails := sc.Nodes(), sc.Cfg.Rails
+	g.nv = make([]*fabric.Link, n)
+	g.routes = make([]dcRoute, n*rails)
+	caps := make([]fabric.PathCap, 2*len(g.routes))
+	// Sized for the deepest route half (two links); a longer route only
+	// regrows the slab, and the halves already cut keep the old backing.
+	links := make([]*fabric.Link, 0, 4*len(g.routes))
+	for i := 0; i < n; i++ {
+		g.nv[i] = sc.NVFabric(i)
+		succ := (i + 1) % n
+		grp, _ := sc.GroupOf(i)
+		succGrp, _ := sc.GroupOf(succ)
+		for r := 0; r < rails; r++ {
+			k := i*rails + r
+			rt := &g.routes[k]
+			start := len(links)
+			var nsrc int
+			links, nsrc, rt.extra = sc.AppendRailPath(links, i, succ, r)
+			mid, end := start+nsrc, len(links)
+			rt.srcPath, rt.dstPath = links[start:mid:mid], links[mid:end:end]
+			caps[2*k] = *fabric.NewPathCap(grp.Net, DCStreamFraction, rt.srcPath)
+			caps[2*k+1] = *fabric.NewPathCap(succGrp.Net, DCStreamFraction, rt.dstPath)
+			rt.srcCap, rt.dstCap = &caps[2*k], &caps[2*k+1]
+			rt.h = sc.Handoff(i, succ)
+		}
+	}
 }
 
 // Algo returns the group's algorithm.
@@ -237,7 +278,7 @@ func (g *DCGroup) StartNode(op Op, payload float64, node int, onDone func()) {
 		g.sc.EngineOf(node).Schedule(0, onDone)
 		return
 	}
-	rec := p.nodes[node]
+	rec := &p.nodes[node]
 	if rec.onDone != nil {
 		panic(fmt.Sprintf("collective: node %d restarted %v payload %g mid-round", node, op, payload))
 	}
@@ -253,62 +294,56 @@ func (g *DCGroup) StartNode(op Op, payload float64, node int, onDone func()) {
 	}
 }
 
-// hierShape is the cluster-independent part of a compiled hierarchical plan:
-// phase volumes, the ring's pipeline-fill latency, and every rendered flow
-// and leg name. It is a pure function of (algo, op, topology spec, payload) —
-// nothing in it references links, engines or capacities — so one shape is
-// shared read-only by every cluster's plan of that signature and cached
-// across runs. Binding a shape to a live cluster (paths, handoffs, stream
-// caps, closures) stays per-plan: those parts hold capacity-coupled state
-// that the fabric revalidates in place via its capEpoch fence.
+// hierShape is the cluster- and payload-independent part of a compiled
+// hierarchical plan: the ring's pipeline-fill latency and every rendered
+// flow and leg name. It is a pure function of (algo, op, topology spec) —
+// nothing in it references links, engines, capacities or the payload — so
+// one shape is shared read-only by every plan of that signature and cached
+// across runs. The phase volumes scale with the payload and are computed
+// per plan; binding to a live cluster uses the group's shared routes.
 type hierShape struct {
-	crossWire        float64
 	crossLat         sim.Time
-	preVol, postVol  float64
-	preName, posName []string   // per node ("" when the phase is absent)
+	preName, posName []string   // per node (nil when the phase is absent)
 	legName          [][]string // per node, per rail
 }
 
-// flatShape is the flat ring's portable part: the per-leg wire volume, ring
-// count, step latency and flow names (in addLeg order: per node, rail 0 then
-// rail 1 when dual-ring).
+// flatShape is the flat ring's portable part: the ring count, step latency
+// and flow names (in addLeg order: per node, rail 0 then rail 1 when
+// dual-ring).
 type flatShape struct {
-	wire    float64
 	rings   int
 	stepLat sim.Time
 	name    []string
 }
 
 // shapeCache is the collective tier of the warm-artifact store, keyed by
-// (algo|op|spec|payload). Shapes are capacity-independent.
+// (algo|op|spec). Shapes are capacity- and payload-independent.
 var shapeCache = scenario.New("collective.shapes", 256)
 
-func makeHierShape(algo Algo, op Op, cfg topology.DCConfig, payload float64) *hierShape {
+func makeHierShape(algo Algo, op Op, cfg topology.DCConfig) *hierShape {
 	n := cfg.Nodes
 	rails := cfg.Rails
 	gpus := topology.GPUsPerNode
 
-	sh := &hierShape{crossWire: WireBytesPerHop(op, n, payload) / float64(rails)}
+	sh := &hierShape{}
 	steps := Steps(op, n)
 	if algo == AlgoTwoLevel {
 		if o, ok := preOp(op); ok {
-			sh.preVol = WireBytesPerHop(o, gpus, payload)
+			sh.preName = make([]string, n)
 			steps += Steps(o, gpus)
 		}
 		if o, ok := postOp(op); ok {
-			sh.postVol = WireBytesPerHop(o, gpus, payload)
+			sh.posName = make([]string, n)
 			steps += Steps(o, gpus)
 		}
 	}
 	sh.crossLat = sim.Time(steps) * topology.LatNCCLStep
-	sh.preName = make([]string, n)
-	sh.posName = make([]string, n)
 	sh.legName = make([][]string, n)
 	for i := 0; i < n; i++ {
-		if sh.preVol > 0 {
+		if sh.preName != nil {
 			sh.preName[i] = fmt.Sprintf("%s/%v/n%d/pre", algo, op, i)
 		}
-		if sh.postVol > 0 {
+		if sh.posName != nil {
 			sh.posName[i] = fmt.Sprintf("%s/%v/n%d/post", algo, op, i)
 		}
 		legs := make([]string, rails)
@@ -320,14 +355,13 @@ func makeHierShape(algo Algo, op Op, cfg topology.DCConfig, payload float64) *hi
 	return sh
 }
 
-func makeFlatShape(op Op, cfg topology.DCConfig, payload float64) *flatShape {
+func makeFlatShape(op Op, cfg topology.DCConfig) *flatShape {
 	n := cfg.Nodes
 	rings := 2
 	if cfg.Rails < 2 {
 		rings = 1
 	}
 	sh := &flatShape{
-		wire:    WireBytesPerHop(op, n, payload) / float64(rings),
 		rings:   rings,
 		stepLat: sim.Time(Steps(op, n)) * topology.LatNCCLStep,
 	}
@@ -342,14 +376,14 @@ func makeFlatShape(op Op, cfg topology.DCConfig, payload float64) *flatShape {
 
 // shapeFor fetches (computing on first use) the portable shape of one plan
 // signature through the shape cache.
-func (g *DCGroup) shapeFor(op Op, payload float64) any {
+func (g *DCGroup) shapeFor(op Op) any {
 	cfg := g.sc.Cfg
-	key := fmt.Sprintf("%v|%v|%s|%g", g.algo, op, cfg.Spec(), payload)
+	key := fmt.Sprintf("%v|%v|%s", g.algo, op, cfg.Spec())
 	v, _ := shapeCache.Do(key, func() (any, error) {
 		if g.algo == AlgoFlat {
-			return makeFlatShape(op, cfg, payload), nil
+			return makeFlatShape(op, cfg), nil
 		}
-		return makeHierShape(g.algo, op, cfg, payload), nil
+		return makeHierShape(g.algo, op, cfg), nil
 	})
 	return v
 }
@@ -359,76 +393,65 @@ func (g *DCGroup) shapeFor(op Op, payload float64) any {
 // successor, and an optional NVSwitch post-flow. Volumes are the textbook
 // ring costs: the cross-node phase carries WireBytesPerHop(op, N, V) per
 // node pair, striped evenly over the rails; 2-level adds the intra-node
-// reduce-scatter/all-gather phases on the payload. The volumes, latency and
-// names come from the cached shape; this function only binds them to the
-// live cluster.
+// reduce-scatter/all-gather phases on the payload. The latency and names
+// come from the cached shape and the routes from the group; this function
+// computes the volumes and binds the per-node records and closures.
 func (g *DCGroup) compileHier(op Op, payload float64) dcPlan {
 	sc := g.sc
 	n := sc.Nodes()
 	rails := sc.Cfg.Rails
-	sh := g.shapeFor(op, payload).(*hierShape)
+	sh := g.shapeFor(op).(*hierShape)
+	crossWire := WireBytesPerHop(op, n, payload) / float64(rails)
+	var preVol, postVol float64
+	if g.algo == AlgoTwoLevel {
+		if o, ok := preOp(op); ok {
+			preVol = WireBytesPerHop(o, topology.GPUsPerNode, payload)
+		}
+		if o, ok := postOp(op); ok {
+			postVol = WireBytesPerHop(o, topology.GPUsPerNode, payload)
+		}
+	}
 
-	plan := dcPlan{nodes: make([]*dcNode, n)}
-	for i := 0; i < n; i++ {
+	plan := dcPlan{nodes: make([]dcNode, n)}
+	for i := range plan.nodes {
+		rec := &plan.nodes[i]
 		grp, _ := sc.GroupOf(i)
-		plan.nodes[i] = &dcNode{
-			g:        g,
-			eng:      sc.EngineOf(i),
-			net:      grp.Net,
-			node:     i,
-			hasPre:   sh.preVol > 0,
-			hasPost:  sh.postVol > 0,
-			expect:   rails,
-			crossLat: sh.crossLat,
-		}
-	}
-	for i, rec := range plan.nodes {
-		nv := sc.NVFabric(i)
-		if rec.hasPre {
-			rec.prePath = []*fabric.Link{nv}
+		rec.eng = sc.EngineOf(i)
+		rec.net = grp.Net
+		rec.node = i
+		rec.routes = g.routes[i*rails : (i+1)*rails]
+		rec.legName = sh.legName[i]
+		rec.legBytes = crossWire
+		rec.expect = rails
+		rec.crossLat = sh.crossLat
+		nv := g.nv[i : i+1 : i+1]
+		if preVol > 0 {
+			rec.hasPre = true
 			rec.pre.Name = sh.preName[i]
-			rec.pre.Path = rec.prePath
-			rec.pre.Bytes = sh.preVol
+			rec.pre.Path = nv
+			rec.pre.Bytes = preVol
 		}
-		if rec.hasPost {
-			rec.posPath = []*fabric.Link{nv}
+		if postVol > 0 {
+			rec.hasPost = true
 			rec.post.Name = sh.posName[i]
-			rec.post.Path = rec.posPath
-			rec.post.Bytes = sh.postVol
+			rec.post.Path = nv
+			rec.post.Bytes = postVol
 		}
-		succ := (i + 1) % n
-		succRec := plan.nodes[succ]
-		succGrp, _ := sc.GroupOf(succ)
-		grp, _ := sc.GroupOf(i)
-		for r := 0; r < rails; r++ {
-			src, dst, extra := sc.RailPath(i, succ, r)
-			rec.legs = append(rec.legs, dcLeg{
-				h:        sc.Handoff(i, succ),
-				name:     sh.legName[i][r],
-				bytes:    sh.crossWire,
-				extra:    extra,
-				srcCap:   fabric.NewPathCap(grp.Net, DCStreamFraction, src),
-				dstCap:   fabric.NewPathCap(succGrp.Net, DCStreamFraction, dst),
-				srcPath:  src,
-				dstPath:  dst,
-				destLand: succRec.land,
-			})
-		}
-	}
-	// Bind the replay closures once. destLand above captured rec.land before
-	// it was assigned, so bind land first via a second pass over the same
-	// records.
-	for _, rec := range plan.nodes {
-		rec := rec
 		rec.land = func() {
 			rec.arrived++
 			rec.maybeCross()
 		}
+	}
+	// Bind the rest of the replay closures once every record's land exists:
+	// a node's legs deliver to its successor's.
+	for i := range plan.nodes {
+		rec := &plan.nodes[i]
+		succLand := plan.nodes[(i+1)%n].land
 		rec.launch = func() {
 			rec.preDone = true
-			for j := range rec.legs {
-				l := &rec.legs[j]
-				l.h.SendPlanned(l.name, l.bytes, l.extra, l.srcCap, l.dstCap, l.srcPath, l.dstPath, l.destLand)
+			for r := range rec.routes {
+				rt := &rec.routes[r]
+				rt.h.SendPlanned(rec.legName[r], rec.legBytes, rt.extra, rt.srcCap, rt.dstCap, rt.srcPath, rt.dstPath, succLand)
 			}
 			rec.maybeCross()
 		}
@@ -443,14 +466,6 @@ func (g *DCGroup) compileHier(op Op, payload float64) dcPlan {
 			cb := rec.onDone
 			rec.onDone = nil
 			cb()
-		}
-	}
-	// destLand was captured before land existed; patch the leg closures now
-	// that every record's land is bound.
-	for _, rec := range plan.nodes {
-		succ := plan.nodes[(rec.node+1)%n]
-		for j := range rec.legs {
-			rec.legs[j].destLand = succ.land
 		}
 	}
 	return plan
@@ -478,8 +493,9 @@ func (rec *dcNode) maybeCross() {
 func (g *DCGroup) compileFlat(op Op, payload float64) dcPlan {
 	sc := g.sc
 	n := sc.Nodes()
-	sh := g.shapeFor(op, payload).(*flatShape)
+	sh := g.shapeFor(op).(*flatShape)
 	rings := sh.rings
+	wire := WireBytesPerHop(op, n, payload) / float64(rings)
 
 	grp := sc.Groups[0]
 	join := &flatJoin{
@@ -487,22 +503,21 @@ func (g *DCGroup) compileFlat(op Op, payload float64) dcPlan {
 		total:    n * rings,
 		nodeDone: make([]func(), n),
 	}
-	plan := dcPlan{nodes: make([]*dcNode, n), join: join}
-	for i := 0; i < n; i++ {
-		plan.nodes[i] = &dcNode{g: g, eng: grp.Eng, net: grp.Net, node: i}
+	plan := dcPlan{nodes: make([]dcNode, n), join: join}
+	for i := range plan.nodes {
+		plan.nodes[i] = dcNode{eng: grp.Eng, net: grp.Net, node: i}
 	}
 	var maxExtra sim.Time
 	addLeg := func(from, to, rail int) {
-		src, dst, extra := sc.RailPath(from, to, rail)
+		path, _, extra := sc.AppendRailPath(nil, from, to, rail)
 		if extra > maxExtra {
 			maxExtra = extra
 		}
-		path := append(append([]*fabric.Link(nil), src...), dst...)
 		join.paths = append(join.paths, path)
 		join.caps = append(join.caps, fabric.NewPathCap(grp.Net, DCStreamFraction, path))
 		join.flows = append(join.flows, fabric.Flow{
 			Name:  sh.name[len(join.flows)],
-			Bytes: sh.wire,
+			Bytes: wire,
 		})
 	}
 	for i := 0; i < n; i++ {

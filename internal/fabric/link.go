@@ -75,7 +75,7 @@ type Link struct {
 	CountWeight float64
 
 	capacity float64
-	counter  *telemetry.Counter
+	counter  telemetry.Counter
 
 	// active lists the flows currently crossing the link (maintained by
 	// Network with swap-removal; a flow whose path crosses the link twice
@@ -104,7 +104,7 @@ func NewLink(name string, class Class, node int, capacity float64, window sim.Ti
 		Node:        node,
 		CountWeight: 1,
 		capacity:    capacity,
-		counter:     telemetry.NewCounter(name, window),
+		counter:     *telemetry.NewCounter(name, window),
 	}
 }
 
@@ -112,7 +112,7 @@ func NewLink(name string, class Class, node int, capacity float64, window sim.Ti
 func (l *Link) Capacity() float64 { return l.capacity }
 
 // Counter exposes the telemetry counter for reporting.
-func (l *Link) Counter() *telemetry.Counter { return l.counter }
+func (l *Link) Counter() *telemetry.Counter { return &l.counter }
 
 // ActiveFlows returns the number of flows currently crossing the link.
 func (l *Link) ActiveFlows() int { return len(l.active) }

@@ -90,7 +90,8 @@ func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 }
 
 // Get is the warm replay path: it returns the completed artifact for key,
-// or ok=false on a miss or an entry still being computed. It allocates
+// or ok=false on a miss, an entry still being computed or an entry holding
+// an error (including a recovered panic), which Do reports. It allocates
 // nothing.
 //
 //lint:steady
@@ -102,8 +103,9 @@ func (c *Cache) Get(key string) (any, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	if !e.done.Load() {
-		// In flight: the cold path owns it; Do will coalesce onto it.
+	if !e.done.Load() || e.err != nil {
+		// In flight (the cold path owns it; Do will coalesce onto it) or
+		// failed (no artifact to replay; Do returns the recorded error).
 		c.mu.Unlock()
 		return nil, false
 	}

@@ -150,6 +150,30 @@ func TestCacheRecordsPanicAsError(t *testing.T) {
 	}
 }
 
+// TestCacheGetMissesErrorEntries: an entry that holds an error, whether
+// returned or a recovered panic, has no artifact to replay, so Get reports
+// ok == false for it and Do keeps serving the recorded error.
+func TestCacheGetMissesErrorEntries(t *testing.T) {
+	c := scenario.New("test.geterrors", 8)
+	computes := map[string]func() (any, error){
+		"error":           func() (any, error) { return nil, errors.New("config does not fit") },
+		"error-and-value": func() (any, error) { return 7, errors.New("partial result") },
+		"panic":           func() (any, error) { panic("bad scenario") },
+	}
+	for _, key := range []string{"error", "error-and-value", "panic"} {
+		_, want := c.Do(key, computes[key])
+		if want == nil {
+			t.Fatalf("%s: Do returned no error", key)
+		}
+		if v, ok := c.Get(key); ok || v != nil {
+			t.Errorf("%s: Get = (%v, %v); want (nil, false)", key, v, ok)
+		}
+		if _, err := c.Do(key, computes[key]); err != want {
+			t.Errorf("%s: Do after Get = %v; want the recorded error %v", key, err, want)
+		}
+	}
+}
+
 // TestCacheWarmGetAllocFree pins the warm replay path at zero allocations:
 // with the key prebuilt and the artifact resident, Get is a pure lookup.
 func TestCacheWarmGetAllocFree(t *testing.T) {

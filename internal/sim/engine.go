@@ -4,9 +4,13 @@
 //
 // The engine owns a virtual clock measured in nanoseconds. Events are
 // callbacks scheduled at absolute virtual times and executed in (time, seq)
-// order, so runs are fully deterministic. A re-armable Timer takes its place
-// in that order exactly as a freshly scheduled event would, without leaving
-// superseded firings behind. Processes (Proc) are goroutines
+// order, so runs are fully deterministic. Events scheduled for the current
+// instant wait in a FIFO lane beside the heap, since they run in schedule
+// order anyway; the run loop takes the least of heap root, lane head and
+// earliest timer, which is the same total order one heap would give. A
+// re-armable Timer takes its place in that order exactly as a freshly
+// scheduled event would, without leaving superseded firings behind.
+// Processes (Proc) are goroutines
 // that interleave cooperatively with the event loop: at any moment either the
 // engine or exactly one process is running, which keeps the simulation
 // race-free without locks in model code.
@@ -76,6 +80,16 @@ type Engine struct {
 	events []event // heapArity-ary min-heap ordered by event.less
 	seq    int64
 
+	// lane holds, from laneHead on, events scheduled for the instant at
+	// which they were scheduled. They share one timestamp and arrive in seq
+	// order, so the FIFO is already sorted and its head is its least event;
+	// an event for the current instant goes to the heap instead while the
+	// lane still holds another instant (after RunUntil moved the clock
+	// back to an earlier deadline). The lane rewinds to empty whenever its
+	// last event is taken, so its backing reaches steady capacity.
+	lane     []event
+	laneHead int
+
 	// ctl is signalled by a process whenever it blocks or terminates,
 	// returning control to the event loop.
 	ctl chan struct{}
@@ -86,7 +100,8 @@ type Engine struct {
 	// Re-armable timers live outside the heap. timers registers every
 	// timer made by NewTimer, armed counts the armed ones, and first caches
 	// the earliest armed timer by (at, seq) — nil when none is armed — so
-	// the run loop compares the heap root against one cached entry.
+	// the run loop compares the heap root and lane head against one cached
+	// entry.
 	timers []*Timer
 	armed  int
 	first  *Timer
@@ -157,7 +172,13 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
+	// A later instant, or the current one while the lane still holds
+	// another, goes to the heap.
+	if t > e.now || (e.laneHead < len(e.lane) && e.lane[e.laneHead].at != t) {
+		e.push(event{at: t, seq: e.seq, fn: fn})
+		return
+	}
+	e.lane = append(e.lane, event{at: t, seq: e.seq, fn: fn}) //lint:allow steady-alloc — the lane rewinds to [:0] when drained: its backing reaches steady capacity
 }
 
 // Schedule registers fn to run delay nanoseconds from now.
@@ -183,79 +204,105 @@ func (e *Engine) Run() Time { return e.RunUntil(1<<62 - 1) }
 // ran out of work, so callers can distinguish the two outcomes.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		if t := e.dueTimer(); t != nil {
-			if t.at > deadline {
-				e.now = deadline
-				return e.now
-			}
-			e.fire(t)
-			continue
-		}
-		if len(e.events) == 0 {
-			break
-		}
-		if e.events[0].at > deadline {
-			// Reached the horizon with work still queued: jump the clock
-			// to the deadline and leave the remaining events pending.
-			e.now = deadline
-			return e.now
-		}
-		ev := e.pop()
-		e.now = ev.at
-		ev.fn()
+	if e.runThrough(deadline) {
+		// Reached the horizon with work still queued: jump the clock
+		// to the deadline and leave the remaining events pending.
+		e.now = deadline
 	}
 	// Drained early or stopped: the clock stays at the last executed event.
 	return e.now
 }
 
-// dueTimer returns the earliest armed timer when it precedes the heap root
-// in (time, seq) order, or nil when the heap root (or nothing) runs next.
-func (e *Engine) dueTimer() *Timer {
-	t := e.first
-	if t == nil || (len(e.events) > 0 && !t.precedes(&e.events[0])) {
-		return nil
+// runThrough executes events and timers with timestamps <= last in (at,
+// seq) order until Stop. It reports whether it halted at pending work
+// beyond last, rather than on Stop or an empty queue.
+func (e *Engine) runThrough(last Time) bool {
+	for !e.stopped {
+		if e.laneHead == len(e.lane) && e.first == nil {
+			// Heap only (a chain of delayed events between instants):
+			// the root is the least item, without the three-way choice.
+			if len(e.events) == 0 {
+				return false
+			}
+			if e.events[0].at > last {
+				return true
+			}
+			ev := e.pop()
+			e.now = ev.at
+			ev.fn()
+			continue
+		}
+		// The lane or a timer is pending, so least sets ev or t.
+		ev, fromLane, t := e.least()
+		if (t != nil && t.at > last) || (t == nil && ev.at > last) {
+			return true
+		}
+		e.exec(ev, fromLane, t)
 	}
-	return t
+	return false
+}
+
+// least finds the least pending item by (at, seq): t is the earliest armed
+// timer when it precedes every event, otherwise ev is the lesser of heap
+// root and lane head, fromLane telling which. Nothing is set when nothing is
+// pending.
+func (e *Engine) least() (ev *event, fromLane bool, t *Timer) {
+	if len(e.events) > 0 {
+		ev = &e.events[0]
+	}
+	if h := e.laneHead; h < len(e.lane) && (ev == nil || e.lane[h].less(*ev)) {
+		ev, fromLane = &e.lane[h], true
+	}
+	if t = e.first; t != nil && (ev == nil || t.precedes(ev)) {
+		return nil, false, t
+	}
+	return ev, fromLane, nil
+}
+
+// exec runs the item least found: fires the timer, or takes the event off
+// the lane or the heap and runs it at its time.
+func (e *Engine) exec(ev *event, fromLane bool, t *Timer) {
+	if t != nil {
+		e.fire(t)
+		return
+	}
+	run := *ev
+	if fromLane {
+		*ev = event{} // release the fn reference for the GC
+		e.laneHead++
+		if e.laneHead == len(e.lane) {
+			e.lane, e.laneHead = e.lane[:0], 0
+		}
+	} else {
+		e.pop()
+	}
+	e.now = run.at
+	run.fn()
 }
 
 // peek returns the timestamp of the next pending event or armed timer; ok is
 // false when nothing is pending.
 func (e *Engine) peek() (Time, bool) {
-	if t := e.dueTimer(); t != nil {
+	ev, _, t := e.least()
+	switch {
+	case t != nil:
 		return t.at, true
+	case ev != nil:
+		return ev.at, true
 	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	return 0, false
 }
 
 // runNext executes the next pending event or armed timer. Something must be
 // pending.
-func (e *Engine) runNext() {
-	if t := e.dueTimer(); t != nil {
-		e.fire(t)
-		return
-	}
-	ev := e.pop()
-	e.now = ev.at
-	ev.fn()
-}
+func (e *Engine) runNext() { e.exec(e.least()) }
 
 // runWindow executes events with timestamps strictly below bound, leaving
 // later events pending. Unlike RunUntil it never jumps the clock to the
 // bound: the clock ends at the last executed event (unchanged when none ran).
 // It is the building block of the sharded engine's conservative windows,
 // where the bound is a horizon no cross-shard influence can penetrate.
-func (e *Engine) runWindow(bound Time) {
-	for !e.stopped {
-		if at, ok := e.peek(); !ok || at >= bound {
-			return
-		}
-		e.runNext()
-	}
-}
+func (e *Engine) runWindow(bound Time) { e.runThrough(bound - 1) }
 
 // inject enqueues a cross-shard delivery. The sequence number comes from the
 // sharded engine's deterministic injection numbering (a band above every
@@ -270,7 +317,7 @@ func (e *Engine) inject(at Time, seq int64, fn func()) {
 }
 
 // Pending reports the number of scheduled events plus armed timers.
-func (e *Engine) Pending() int { return len(e.events) + e.armed }
+func (e *Engine) Pending() int { return len(e.events) + len(e.lane) - e.laneHead + e.armed }
 
 // LiveProcs reports the number of processes that have started and not yet
 // returned. A nonzero value after Run means processes are deadlocked waiting

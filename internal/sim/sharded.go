@@ -267,7 +267,7 @@ func (se *ShardedEngine) RunUntil(deadline Time) Time {
 
 // runSerial replays the sharded program on the calling goroutine in global
 // (time, shard, seq) order — the reference order parallel windows must
-// reproduce. Within a shard the heap already yields (time, seq) order;
+// reproduce. Within a shard the engine already yields (time, seq) order;
 // across shards the loop breaks timestamp ties by shard index.
 func (se *ShardedEngine) runSerial(deadline Time) Time {
 	for {

@@ -65,7 +65,7 @@ func (t *Timer) before(u *Timer) bool {
 	return t.seq < u.seq
 }
 
-// precedes orders an armed timer against a heap event by (at, seq).
+// precedes orders an armed timer against a pending event by (at, seq).
 func (t *Timer) precedes(ev *event) bool {
 	if t.at != ev.at {
 		return t.at < ev.at

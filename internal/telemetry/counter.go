@@ -82,10 +82,28 @@ func (c *Counter) Add(from, to sim.Time, bytes float64) {
 	}
 }
 
+// grow extends the buckets to n windows in one step. Outgrowing the
+// capacity costs one allocation however many windows it reveals; the
+// capacity doubles until n fits, as appends double a small slice, so the
+// windows that follow find slack instead of reallocating again. Revealed
+// slots within capacity are cleared: Reset truncates without clearing.
 func (c *Counter) grow(n int) {
-	for len(c.buckets) < n {
-		c.buckets = append(c.buckets, 0)
+	old := len(c.buckets)
+	if n <= old {
+		return
 	}
+	if n > cap(c.buckets) {
+		size := max(2*cap(c.buckets), 1)
+		for size < n {
+			size *= 2
+		}
+		b := make([]float64, n, size)
+		copy(b, c.buckets)
+		c.buckets = b
+		return
+	}
+	c.buckets = c.buckets[:n]
+	clear(c.buckets[old:])
 }
 
 // Series returns the per-window bandwidth in bytes/second covering [0, end).

@@ -75,6 +75,26 @@ func TestCounterReset(t *testing.T) {
 	}
 }
 
+// TestCounterResetThenLaterWindow: Reset truncates the buckets without
+// clearing them, so a later Add that grows the counter back within its
+// capacity must read 0 in every window before its own.
+func TestCounterResetThenLaterWindow(t *testing.T) {
+	c := NewCounter("x", sim.Second)
+	c.Add(0, 4*sim.Second, 4e9)
+	c.Reset()
+	c.Add(3*sim.Second, 4*sim.Second, 5e9)
+	got := c.Series(4 * sim.Second).Rates
+	want := []float64{0, 0, 0, 5e9}
+	if len(got) != len(want) {
+		t.Fatalf("windows = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("window %d rate = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestCounterPanicsOnBadInput(t *testing.T) {
 	c := NewCounter("x", 0)
 	for name, fn := range map[string]func(){

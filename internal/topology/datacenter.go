@@ -495,30 +495,37 @@ func (sc *DCShardedCluster) Handoff(fromNode, toNode int) *fabric.Handoff {
 // depends only on the global topology — never on the shard layout — so
 // compiled plans built from it are identical at every shard count.
 func (sc *DCShardedCluster) RailPath(from, to, rail int) (src, dst []*fabric.Link, extra sim.Time) {
+	links, nsrc, extra := sc.AppendRailPath(nil, from, to, rail)
+	return links[:nsrc:nsrc], links[nsrc:], extra
+}
+
+// AppendRailPath appends RailPath's route to links, the sender-owned half
+// first, and returns the extended slice with the sender-owned half's length
+// and the extra latency. Callers that bind many routes cut the halves out of
+// one slab this way.
+func (sc *DCShardedCluster) AppendRailPath(links []*fabric.Link, from, to, rail int) ([]*fabric.Link, int, sim.Time) {
 	ga, la := sc.GroupOf(from)
 	gb, lb := sc.GroupOf(to)
 	nicA := ga.nic[la][rail]
 	nicB := gb.nic[lb][rail]
 	pa, pb := sc.podOf[from], sc.podOf[to]
 	if pa == pb {
-		return []*fabric.Link{nicA}, []*fabric.Link{nicB}, 0
+		return append(links, nicA, nicB), 1, 0
 	}
 	switch sc.Cfg.Kind {
 	case FatTree:
-		return []*fabric.Link{nicA, ga.up[pa-ga.Cfg.FirstPod][rail]},
-			[]*fabric.Link{gb.down[pb-gb.Cfg.FirstPod][rail], nicB},
+		return append(links, nicA, ga.up[pa-ga.Cfg.FirstPod][rail], gb.down[pb-gb.Cfg.FirstPod][rail], nicB), 2,
 			2 * LatDCTier
 	case RailOnly:
 		// Per-rail Clos: non-blocking, one extra tier once the rail network
 		// outgrows a single leaf.
+		var extra sim.Time
 		if sc.Cfg.Nodes > sc.Cfg.PodSize {
 			extra = LatDCTier
 		}
-		return []*fabric.Link{nicA}, []*fabric.Link{nicB}, extra
+		return append(links, nicA, nicB), 1, extra
 	case Dragonfly:
-		return []*fabric.Link{nicA, ga.global[pa-ga.Cfg.FirstPod][pb]},
-			[]*fabric.Link{nicB},
-			LatDCTier
+		return append(links, nicA, ga.global[pa-ga.Cfg.FirstPod][pb], nicB), 2, LatDCTier
 	}
 	panic(fmt.Sprintf("topology: unknown fabric kind %v", sc.Cfg.Kind))
 }
