@@ -6,7 +6,8 @@ FUZZTIME ?= 10s
 
 ## check: the full correctness gate — gofmt, vet, build, the simlint
 ## determinism & invariant analysis, the race-enabled test suite, and a short
-## fuzz smoke of the fabric fair-share property suite and the -topo parser.
+## fuzz smoke of the fabric fair-share property suite, the -topo parser and
+## the model-size list parser.
 check: fmt vet build lint race fuzz-smoke
 
 build:
@@ -44,10 +45,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz-smoke: run every fuzz target in internal/fabric and internal/topology
-## for FUZZTIME each.
+## fuzz-smoke: run every fuzz target in internal/fabric, internal/topology
+## and internal/model for FUZZTIME each.
 fuzz-smoke:
-	@set -e; for pkg in ./internal/fabric ./internal/topology; do \
+	@set -e; for pkg in ./internal/fabric ./internal/topology ./internal/model; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$pkg $$f for $(FUZZTIME)"; \
 			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$pkg; \

@@ -271,9 +271,7 @@ func BenchmarkCollectiveAllReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := topology.New(topology.DefaultConfig(2))
 		g := collective.NewGroup(c, collective.NodeMajorRanks(2, 4))
-		c.Eng.Go("driver", func(p *sim.Proc) {
-			g.Run(p, collective.AllReduce, 1e9)
-		})
+		g.Start(collective.AllReduce, 1e9, func() {})
 		dur = c.Eng.Run()
 	}
 	b.ReportMetric(dur.ToSeconds()*1000, "simulated-ms")

@@ -184,11 +184,6 @@ func (g *Group) StartRings(op Op, payload, hopRateLimit float64, rings int, onDo
 	p.start(onDone)
 }
 
-// Run executes the collective synchronously from a driver process.
-func (g *Group) Run(p *sim.Proc, op Op, payload float64) {
-	p.Await(func(resume func()) { g.Start(op, payload, resume) })
-}
-
 // Handle tracks an asynchronous collective (or any deferred completion).
 // Handles from Group.NewHandle are pooled: the owner may return a finished
 // handle with Release, after which it must not be touched.
@@ -292,16 +287,6 @@ func (g *Group) StartAsync(op Op, payload float64) *Handle {
 	h := g.NewHandle()
 	g.Start(op, payload, h.Fire)
 	return h
-}
-
-// Wait blocks p until the collective completes.
-func (h *Handle) Wait(p *sim.Proc) {
-	if h.done {
-		return
-	}
-	p.Await(func(resume func()) {
-		h.waiters = append(h.waiters, func() { h.eng.Schedule(0, resume) })
-	})
 }
 
 // Done reports completion.

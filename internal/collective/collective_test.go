@@ -153,37 +153,39 @@ func TestSingleRankIsNoOp(t *testing.T) {
 	}
 }
 
+// A driver's continuation runs only once the collective has moved its bytes.
 func TestRunBlocksDriverProcess(t *testing.T) {
 	c, g := singleNodeGroup(t)
 	var at sim.Time
-	c.Eng.Go("driver", func(p *sim.Proc) {
-		g.Run(p, AllGather, 4e9)
-		at = p.Now()
+	c.Eng.Schedule(0, func() {
+		g.Start(AllGather, 4e9, func() { at = c.Eng.Now() })
 	})
 	c.Eng.Run()
 	if at == 0 {
-		t.Error("Run returned instantly")
+		t.Error("the driver resumed instantly")
 	}
 }
 
 func TestAsyncHandle(t *testing.T) {
 	c, g := singleNodeGroup(t)
 	var order []string
-	c.Eng.Go("driver", func(p *sim.Proc) {
+	c.Eng.Schedule(0, func() {
 		h := g.StartAsync(AllReduce, 2e9)
 		order = append(order, "launched")
-		p.Sleep(sim.Millisecond)
-		order = append(order, "slept")
-		h.Wait(p)
-		order = append(order, "waited")
-		if !h.Done() {
-			t.Error("handle not done after Wait")
-		}
-		// Waiting again on a done handle returns immediately.
-		h.Wait(p)
+		c.Eng.Schedule(sim.Millisecond, func() {
+			order = append(order, "slept")
+			h.Then(func() {
+				order = append(order, "waited")
+				if !h.Done() {
+					t.Error("handle not done when its waiter ran")
+				}
+				// A waiter registered on a done handle still runs.
+				h.Then(func() { order = append(order, "again") })
+			})
+		})
 	})
 	c.Eng.Run()
-	if len(order) != 3 || order[0] != "launched" || order[2] != "waited" {
+	if len(order) != 4 || order[0] != "launched" || order[2] != "waited" || order[3] != "again" {
 		t.Errorf("order = %v", order)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"llmbw/internal/collective"
-	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
 
@@ -12,9 +11,8 @@ import (
 func Example() {
 	cluster := topology.New(topology.DefaultConfig(1))
 	group := collective.NewGroup(cluster, collective.NodeMajorRanks(1, 4))
-	cluster.Eng.Go("driver", func(p *sim.Proc) {
-		group.Run(p, collective.AllReduce, 2e9)
-		fmt.Printf("all-reduce finished at %v\n", p.Now())
+	group.Start(collective.AllReduce, 2e9, func() {
+		fmt.Printf("all-reduce finished at %v\n", cluster.Eng.Now())
 	})
 	cluster.Eng.Run()
 	// Each ring hop carries 2·2GB·(3/4) = 3 GB over a 200 GB/s NVLink pair,

@@ -16,7 +16,6 @@ type planKey struct {
 	payload float64
 	limit   float64 // per-hop rate cap; 0 = unlimited
 	rings   int8
-	tree    bool
 }
 
 // crossLeg records a node-boundary leg and its route so the plan can
@@ -106,11 +105,7 @@ func (g *Group) Precompile(op Op, payload, hopRateLimit float64, rings int) {
 //lint:cold
 func (g *Group) compilePlan(key planKey) *Plan {
 	p := &Plan{g: g, key: key, capEpoch: g.cluster.Net.CapacityEpoch()}
-	if key.tree {
-		p.compileTree()
-	} else {
-		p.compileRings()
-	}
+	p.compileRings()
 	p.total = len(p.flows)
 	eng := g.cluster.Eng
 	p.legDone = func() {

@@ -53,46 +53,11 @@ func (g *Group) referenceStartRings(op Op, payload, hopRateLimit float64, rings 
 	}
 }
 
-// referenceStartTree is the rebuild-per-issue tree all-reduce, the
-// reference for compiled tree plans.
-func (g *Group) referenceStartTree(payload float64, onDone func()) {
-	n := len(g.ranks)
-	eng := g.cluster.Eng
-	latency := sim.Time(TreeSteps(n)) * topology.LatNCCLStep
-	edges := treeEdges(n)
-	remaining := len(edges)
-	for i, e := range edges {
-		a, b := g.ranks[e[0]], g.ranks[e[1]]
-		var route topology.Route
-		cross := a.Node != b.Node
-		if cross {
-			route = g.cluster.GPUToRemoteGPU(a, b)
-		} else {
-			route = g.cluster.GPUToGPU(a, b)
-		}
-		f := route.Flow(fmt.Sprintf("tree-allreduce/edge%d", i), 2*payload)
-		if cross {
-			cap := FusedStreamFraction * minRoCECapacity(route)
-			if eff := g.cluster.Cfg.StreamEff; eff > 0 {
-				cap = eff * minRoCECapacity(route)
-			}
-			f.RateLimit = cap
-		}
-		g.cluster.Net.StartFlow(f, func() {
-			remaining--
-			if remaining == 0 {
-				eng.Schedule(latency, onDone)
-			}
-		})
-	}
-}
-
 // issueSequenceTimes runs a fixed mix of collective issues — replays, a
-// single-ring shape, a rate-limited shape, tree all-reduces — back to back on
-// a fresh cluster and returns each completion time. compiled selects the
-// production issue path (StartRings/StartTree, compiled plans) or the
-// rebuild-per-issue reference; that is the only degree of freedom between
-// calls.
+// single-ring shape, a rate-limited shape — back to back on a fresh cluster
+// and returns each completion time. compiled selects the production issue
+// path (StartRings, compiled plans) or the rebuild-per-issue reference; that
+// is the only degree of freedom between calls.
 func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
 	c := topology.New(topology.DefaultConfig(nodes))
 	g := NewGroup(c, NodeMajorRanks(nodes, 4))
@@ -100,7 +65,7 @@ func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
 		op      Op
 		payload float64
 		limit   float64
-		rings   int // 0 issues a tree all-reduce
+		rings   int
 	}{
 		{AllReduce, 2e9, 0, 2},
 		{ReduceScatter, 1e9, 0, 1},
@@ -108,29 +73,24 @@ func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
 		{AllReduce, 2e9, 0, 2}, // replay of the first shape
 		{AllReduce, 2e9, 5e9, 2},
 		{ReduceScatter, 1e9, 0, 1}, // replay
-		{AllReduce, 5e8, 0, 0},
-		{AllReduce, 5e8, 0, 0}, // tree replay
 	}
-	start := func(op Op, payload, limit float64, rings int, done func()) {
-		switch {
-		case rings == 0 && compiled:
-			g.StartTree(payload, done)
-		case rings == 0:
-			g.referenceStartTree(payload, done)
-		case compiled:
-			g.StartRings(op, payload, limit, rings, done)
-		default:
-			g.referenceStartRings(op, payload, limit, rings, done)
-		}
+	start := g.referenceStartRings
+	if compiled {
+		start = g.StartRings
 	}
+	// A callback chain issues each shape when the previous one completes.
 	var times []sim.Time
-	c.Eng.Go("driver", func(p *sim.Proc) {
-		for _, s := range seq {
-			s := s
-			p.Await(func(resume func()) { start(s.op, s.payload, s.limit, s.rings, resume) })
-			times = append(times, p.Now())
-		}
-	})
+	var issue func()
+	issue = func() {
+		s := seq[len(times)]
+		start(s.op, s.payload, s.limit, s.rings, func() {
+			times = append(times, c.Eng.Now())
+			if len(times) < len(seq) {
+				issue()
+			}
+		})
+	}
+	c.Eng.Schedule(0, issue)
 	c.Eng.Run()
 	return times
 }

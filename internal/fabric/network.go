@@ -217,12 +217,6 @@ func (n *Network) register(f *Flow) {
 	}
 }
 
-// Transfer is a convenience wrapper for processes: it starts the flow and
-// blocks p until completion.
-func (n *Network) Transfer(p *sim.Proc, f *Flow) {
-	p.Await(func(resume func()) { n.StartFlow(f, resume) })
-}
-
 // SetCapacity changes a link's capacity mid-simulation (e.g. an NVMe write
 // cache filling up) and reallocates flow rates.
 func (n *Network) SetCapacity(l *Link, capacity float64) {

@@ -155,9 +155,8 @@ func TestTransferBlocksProcess(t *testing.T) {
 	net := NewNetwork(eng)
 	l := link("l", 1)
 	var resumed sim.Time
-	eng.Go("p", func(p *sim.Proc) {
-		net.Transfer(p, &Flow{Path: []*Link{l}, Bytes: 2e9})
-		resumed = p.Now()
+	eng.Schedule(0, func() {
+		net.StartFlow(&Flow{Path: []*Link{l}, Bytes: 2e9}, func() { resumed = eng.Now() })
 	})
 	eng.Run()
 	if !almost(resumed.ToSeconds(), 2.0, 1e-6) {

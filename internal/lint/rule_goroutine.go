@@ -7,8 +7,9 @@ import (
 )
 
 // goroutineSharedWrite flags writes to shared state inside goroutine bodies.
-// Simulation code is single-threaded by design (sim.Proc goroutines
-// interleave cooperatively); the places real concurrency is coordinated are
+// Simulation code is single-threaded by design: every simulated process is
+// a callback state machine on its engine's goroutine, and model code starts
+// no goroutine. The places real concurrency is coordinated are
 // internal/runner (exempt by config) and the sharded engine's barrier
 // protocol, which hands state to workers explicitly. The rule covers both
 // launch forms:

@@ -93,11 +93,11 @@ func LayersForParams(target int64) int {
 		return 1
 	}
 	per := g.LayerParams()
-	layers := int((rem + per - 1) / per)
-	if layers < 1 {
-		layers = 1
+	layers := rem / per
+	if rem%per != 0 {
+		layers++ // round up without overflowing near the int64 limit
 	}
-	return layers
+	return int(layers)
 }
 
 // TokensPerIteration returns the tokens processed per training iteration for

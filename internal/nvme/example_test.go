@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"llmbw/internal/nvme"
-	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
 
@@ -18,9 +17,8 @@ func Example() {
 	cluster := topology.New(cfg)
 	vols := placement.Build(cluster)
 
-	cluster.Eng.Go("writer", func(p *sim.Proc) {
-		vols[0].Transfer(p, 1, 10e9, true)
-		fmt.Printf("10 GB write finished at %v\n", p.Now())
+	vols[0].IO(1, 10e9, true, func() {
+		fmt.Printf("10 GB write finished at %v\n", cluster.Eng.Now())
 	})
 	cluster.Eng.Run()
 	// 4 GB of cache burst at 2×16 GB/s, 6 GB sustained at 2×4.5 GB/s.

@@ -143,11 +143,6 @@ func (d *Drive) IO(socket int, bytes float64, write bool, onDone func()) {
 	startSustained()
 }
 
-// Transfer is the blocking form of IO for simulation processes.
-func (d *Drive) Transfer(p *sim.Proc, socket int, bytes float64, write bool) {
-	p.Await(func(resume func()) { d.IO(socket, bytes, write, resume) })
-}
-
 // MediaLink exposes the media resource (for telemetry assertions).
 func (d *Drive) MediaLink() *fabric.Link { return d.media }
 
@@ -176,11 +171,6 @@ func (v *Volume) IO(socket int, bytes float64, write bool, onDone func()) {
 			}
 		})
 	}
-}
-
-// Transfer is the blocking form of IO.
-func (v *Volume) Transfer(p *sim.Proc, socket int, bytes float64, write bool) {
-	p.Await(func(resume func()) { v.IO(socket, bytes, write, resume) })
 }
 
 // SustainedRead returns the volume's aggregate sustained throughput as seen

@@ -45,17 +45,18 @@ func TestReadSkipsCache(t *testing.T) {
 func TestCacheDrainsWhileIdle(t *testing.T) {
 	c, vols := clusterFor(ConfigA())
 	d := vols[0].Drives[0]
-	c.Eng.Go("w", func(p *sim.Proc) {
-		d.Transfer(p, 1, 2e9, true) // fill the 2 GB cache
+	// Fill the 2 GB cache, then idle for half a second.
+	d.IO(1, 2e9, true, func() {
 		// The 2 GB burst takes 0.125 s at PCIe speed, during which the
 		// cache concurrently destaged 0.25 GB to NAND.
 		if free := d.CacheFree(); !almost(free, 0.25e9, 5e7) {
 			t.Errorf("cache free after fill = %v, want ~0.25e9", free)
 		}
-		p.Sleep(sim.Seconds(0.5)) // drains 1 GB more at 2 GB/s
-		if free := d.CacheFree(); !almost(free, 1.25e9, 5e7) {
-			t.Errorf("cache free after 0.5s idle = %v, want ~1.25e9", free)
-		}
+		c.Eng.Schedule(sim.Seconds(0.5), func() { // drains 1 GB more at 2 GB/s
+			if free := d.CacheFree(); !almost(free, 1.25e9, 5e7) {
+				t.Errorf("cache free after 0.5s idle = %v, want ~1.25e9", free)
+			}
+		})
 	})
 	c.Eng.Run()
 }
@@ -228,12 +229,18 @@ func TestPeakExceedsSustainedInTelemetry(t *testing.T) {
 	// link speed and a much lower average.
 	c, vols := clusterFor(ConfigA())
 	d := vols[0].Drives[0]
-	c.Eng.Go("w", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			d.Transfer(p, 1, 3e9, true)
-			p.Sleep(2 * sim.Second) // idle gap: cache partially drains
+	// Three 3 GB writes, each followed by an idle gap in which the cache
+	// partially drains.
+	writes := 0
+	var write func()
+	write = func() {
+		if writes == 3 {
+			return
 		}
-	})
+		writes++
+		d.IO(1, 3e9, true, func() { c.Eng.Schedule(2*sim.Second, write) })
+	}
+	c.Eng.Schedule(0, write)
 	end := c.Eng.Run()
 	c.Net.Quiesce()
 	st := d.pcie.Counter().Stats(end)

@@ -83,6 +83,7 @@ type Executor struct {
 	slots  []*collective.Handle // retained stream handles by schedule slot
 
 	pc        int
+	inline    bool     // Run is on the stack: completion returns to it
 	cur       *Op      // the op currently blocking the program
 	t0        sim.Time // start time of the blocking op (for its trace span)
 	nvmeLeft  int
@@ -144,11 +145,12 @@ func NewExecutor(env Env, s *Schedule) *Executor {
 	return ex
 }
 
-// Run replays the program once; done fires (possibly synchronously) when it
-// completes.
+// Run replays the program once. It reports whether the program completed
+// before Run returned, every op finishing inline; then done is not called.
+// Otherwise done fires from engine context when the program completes.
 //
 //lint:steady
-func (ex *Executor) Run(done func()) {
+func (ex *Executor) Run(done func()) bool {
 	ex.finish = done
 	ex.pc = 0
 	for i := range ex.queues {
@@ -162,7 +164,10 @@ func (ex *Executor) Run(done func()) {
 			q.tail, q.tailAuto = nil, false
 		}
 	}
+	ex.inline = true
 	ex.step()
+	ex.inline = false
+	return ex.pc == len(ex.s.Ops)
 }
 
 // step executes ops from pc until one blocks (its completion callback
@@ -186,8 +191,8 @@ func (ex *Executor) step() {
 				eng.Schedule(op.Dur, ex.blockDoneFn)
 				return
 			}
-			// A zero-duration span returns inline and is never traced,
-			// exactly as Sleep(0) + the empty-span drop behave.
+			// A zero-duration span takes no event and is never traced:
+			// the program continues inline.
 		case OpCollective:
 			g := op.Group
 			if g == nil {
@@ -243,7 +248,9 @@ func (ex *Executor) step() {
 		}
 		ex.pc++
 	}
-	ex.finish()
+	if !ex.inline {
+		ex.finish()
+	}
 }
 
 // blockDone completes a simple blocking op: trace it if tagged, advance.
@@ -258,8 +265,9 @@ func (ex *Executor) blockDone() {
 	ex.step()
 }
 
-// waitHop runs as a handle waiter and re-schedules the actual resume at +0 —
-// the exact hop Handle.Wait takes, which keeps event ordering identical.
+// waitHop runs as a handle waiter and re-schedules the actual resume at +0:
+// a waiting program resumes one scheduler tick after its handle fires, behind
+// the events the handle's other waiters schedule at that instant.
 //
 //lint:steady
 func (ex *Executor) waitHop() {

@@ -17,18 +17,37 @@ import (
 // NVSwitch flows form one fair-share domain, so the fabric is built on one
 // shard.
 //
-// Every node runs exactly one serving proc, one pass at a time, and the
+// Every node runs exactly one serving machine, one pass at a time, and the
 // prefill pool and the decode replicas are disjoint, so each node owns one
-// preallocated NVSwitch flow and each prefill node one KV flow with a
-// reusable path buffer: a flow is restarted only after it has completed,
-// and warm passes allocate nothing.
+// pass record, one preallocated NVSwitch flow and, on a prefill node, one KV
+// flow with a reusable path buffer: a flow is restarted only after it has
+// completed, and warm passes allocate nothing.
 type dcSteps struct {
 	r   *Runner
 	sc  *topology.DCShardedCluster
 	net *fabric.Network
 
-	nv []fabric.Flow // per node: its tensor-parallel NVSwitch traffic
-	kv []fabric.Flow // per prefill node (the first nodes): its KV shipment
+	passes []dcPass      // per node: its pass in flight
+	nv     []fabric.Flow // per node: its tensor-parallel NVSwitch traffic
+	kv     []fabric.Flow // per prefill node (the first nodes): its KV shipment
+}
+
+// dcPass is one node's serving pass: a callback machine over the pass's
+// legs — roofline sleeps and flows, run in order — that skips a sleep of
+// zero, as a pass with nothing to wait for completes inline.
+type dcPass struct {
+	eng    *sim.Engine
+	net    *fabric.Network
+	legs   [4]dcLeg
+	n, i   int    // legs set, next leg
+	next   func() // the scheduler's continuation
+	resume func() // legDone, bound once
+}
+
+// dcLeg is a flow when flow is set, otherwise a roofline sleep of dur.
+type dcLeg struct {
+	dur  sim.Time
+	flow *fabric.Flow
 }
 
 // newDCSteps builds the fabric of cfg and binds r to its engine.
@@ -44,11 +63,17 @@ func newDCSteps(r *Runner, cfg topology.DCConfig) (*dcSteps, error) {
 	r.eng = sc.EngineOf(0)
 	r.runSim = sc.RunSim
 	d := &dcSteps{
-		r:   r,
-		sc:  sc,
-		net: sc.Groups[0].Net,
-		nv:  make([]fabric.Flow, sc.Nodes()),
-		kv:  make([]fabric.Flow, len(r.prefills)),
+		r:      r,
+		sc:     sc,
+		net:    sc.Groups[0].Net,
+		passes: make([]dcPass, sc.Nodes()),
+		nv:     make([]fabric.Flow, sc.Nodes()),
+		kv:     make([]fabric.Flow, len(r.prefills)),
+	}
+	for n := range d.passes {
+		p := &d.passes[n]
+		p.eng, p.net = r.eng, d.net
+		p.resume = p.legDone
 	}
 	nvLinks := make([]*fabric.Link, sc.Nodes())
 	for n := range d.nv {
@@ -64,13 +89,15 @@ func newDCSteps(r *Runner, cfg topology.DCConfig) (*dcSteps, error) {
 
 // prefill models a prompt pass on node pre: the roofline kernel sleep plus
 // the NVSwitch collective traffic, then the KV shipment to dec.
-func (d *dcSteps) prefill(_ *sim.Proc, w *sim.Waiter, q *request, pre, dec int) {
+func (d *dcSteps) prefill(q *request, pre, dec int, next func()) bool {
 	pb := promptBucket(q.prompt)
-	d.sleep(w, d.r.prefillTime(pb))
-	d.nvCollective(w, pre, pb)
+	p := d.begin(pre, next)
+	p.sleep(d.r.prefillTime(pb))
+	d.nvCollective(p, pre, pb)
 	if pre != dec {
-		d.shipKV(w, pre, dec, q)
+		d.shipKV(p, pre, dec, q)
 	}
+	return p.run()
 }
 
 // decode models one decode step on node: the memory-bound roofline sleep
@@ -79,44 +106,82 @@ func (d *dcSteps) prefill(_ *sim.Proc, w *sim.Waiter, q *request, pre, dec int) 
 // call graph, hence its own steady marker.
 //
 //lint:steady
-func (d *dcSteps) decode(_ *sim.Proc, w *sim.Waiter, node, bn, cb int) {
-	d.sleep(w, d.r.decodeTime(bn, cb))
-	d.nvCollective(w, node, bn)
+func (d *dcSteps) decode(node, bn, cb int, next func()) bool {
+	p := d.begin(node, next)
+	p.sleep(d.r.decodeTime(bn, cb))
+	d.nvCollective(p, node, bn)
+	return p.run()
 }
 
-// sleep blocks w's proc for dur; a zero duration returns at once, as
-// Proc.Sleep does.
-func (d *dcSteps) sleep(w *sim.Waiter, dur sim.Time) {
-	if dur > 0 {
-		d.r.eng.Schedule(dur, w.DoneFunc())
-		w.Wait()
-	}
+// begin resets node's pass record for a new pass that continues with next.
+func (d *dcSteps) begin(node int, next func()) *dcPass {
+	p := &d.passes[node]
+	p.n, p.i, p.next = 0, 0, next
+	return p
 }
 
-// nvCollective blocks on the replica's aggregated tensor-parallel all-reduce
+// nvCollective adds the replica's aggregated tensor-parallel all-reduce
 // traffic on the node's NVSwitch domain: two all-reduces per pass, each
 // moving 2·(tp−1)·payload bytes through the fabric.
-func (d *dcSteps) nvCollective(w *sim.Waiter, node, tokens int) {
+func (d *dcSteps) nvCollective(p *dcPass, node, tokens int) {
 	tp := d.r.cfg.TensorParallel
 	if tp < 2 {
 		return
 	}
 	f := &d.nv[node]
 	f.Bytes = 4 * float64(tp-1) * tpAllReducePayload(d.r.cfg.Model, tokens)
-	d.net.StartFlow(f, w.DoneFunc())
-	w.Wait()
+	p.flow(f)
 }
 
-// shipKV blocks on the KV-cache transfer from prefill node to decode node
-// over the request's rail (requests stripe the rails round-robin). The full
+// shipKV adds the KV-cache transfer from prefill node to decode node over
+// the request's rail (requests stripe the rails round-robin). The full
 // source-NIC → fabric → destination-NIC path is one fluid flow; the path's
 // extra switching latency is paid as a sleep up front.
-func (d *dcSteps) shipKV(w *sim.Waiter, from, to int, q *request) {
+func (d *dcSteps) shipKV(p *dcPass, from, to int, q *request) {
 	src, dst, extra := d.sc.RailPath(from, to, q.id%d.sc.Cfg.Rails)
-	d.sleep(w, extra)
+	p.sleep(extra)
 	f := &d.kv[from]
 	f.Path = append(append(f.Path[:0], src...), dst...)
 	f.Bytes = float64(q.prompt) * d.r.kvPerTok * float64(d.r.cfg.TensorParallel)
-	d.net.StartFlow(f, w.DoneFunc())
-	w.Wait()
+	p.flow(f)
+}
+
+func (p *dcPass) sleep(dur sim.Time) {
+	p.legs[p.n] = dcLeg{dur: dur}
+	p.n++
+}
+
+func (p *dcPass) flow(f *fabric.Flow) {
+	p.legs[p.n] = dcLeg{flow: f}
+	p.n++
+}
+
+// run starts legs from the next one until a leg blocks — a flow, or a
+// sleep longer than zero — and reports whether the pass ended instead.
+//
+//lint:steady
+func (p *dcPass) run() bool {
+	for p.i < p.n {
+		l := &p.legs[p.i]
+		p.i++
+		if l.flow != nil {
+			p.net.StartFlow(l.flow, p.resume)
+			return false
+		}
+		if l.dur > 0 {
+			p.eng.Schedule(l.dur, p.resume)
+			return false
+		}
+	}
+	return true
+}
+
+// legDone continues the pass when a leg ends, and the scheduler when the
+// pass does.
+//
+//lint:steady
+func (p *dcPass) legDone() {
+	if p.run() {
+		p.next()
+	}
 }

@@ -9,16 +9,16 @@ import (
 	"llmbw/internal/topology"
 )
 
-// stepModel is a fabric's cost of the two serving passes. Each method blocks
-// the calling proc p for the pass's simulated duration; w is p's latch, free
-// for the call's own use.
+// stepModel is a fabric's cost of the two serving passes. Each method starts
+// its pass and reports whether the pass completed inline; otherwise next
+// fires from engine context when the pass ends.
 type stepModel interface {
 	// prefill runs q's prompt pass on node pre and, when pre != dec, ships
 	// its KV cache to decode node dec.
-	prefill(p *sim.Proc, w *sim.Waiter, q *request, pre, dec int)
+	prefill(q *request, pre, dec int, next func()) bool
 	// decode runs one decode step of a bn-request batch on node, whose
 	// longest context lands in context bucket cb.
-	decode(p *sim.Proc, w *sim.Waiter, node, bn, cb int)
+	decode(node, bn, cb int, next func()) bool
 }
 
 // Runner executes one serving scenario: a continuous-batching scheduler over
@@ -29,13 +29,14 @@ type stepModel interface {
 // to its decode replica. The testbed is the one-replica case: colocated on
 // node 0, or prefill on node 0 and decode on node 1.
 //
-// All per-request state lives in the preallocated request slice and each
-// replica's fixed ready/batch arrays; the decode loop (admitReady/decodeStep)
-// only mutates that state in place, so with the testbed's pooled executors
-// warm token generation allocates nothing.
+// Every node runs one scheduler machine (see replica.run). All per-request
+// state lives in the preallocated request slice and each replica's fixed
+// ready/batch arrays; the decode loop (admitReady, startDecode, finishDecode)
+// only mutates that state in place, so warm token generation allocates
+// nothing.
 type Runner struct {
 	cfg    Config
-	eng    *sim.Engine     // every serving proc runs on it
+	eng    *sim.Engine     // every serving machine runs on it
 	runSim func() sim.Time // drives the fabric's simulation to completion
 	cost   stepModel
 	gpu    compute.GPUModel
@@ -51,15 +52,19 @@ type Runner struct {
 	prefills []*replica // the prefill pool (disaggregated only)
 
 	released int   // closed-loop release cursor
+	ended    int   // node machines whose loop reached its end
 	done     int   // completed requests
 	steps    int64 // decode steps executed
 	batchSum int64 // Σ batch size over steps
 }
 
-// replica is one serving node's scheduler state: a decode replica, which
-// also runs its requests' prompt passes under colocated placement, or a
-// prefill-pool node, which uses only the admission fields.
+// replica is one serving node's scheduler: a decode replica, which also
+// runs its requests' prompt passes under colocated placement, or a
+// prefill-pool node, which uses only the admission fields. Its loop runs as
+// a callback state machine; see run.
 type replica struct {
+	r     *Runner
+	role  role
 	node  int        // fabric node index
 	queue []*request // owned requests in id (= arrival) order
 	next  int        // admission cursor into queue
@@ -75,9 +80,29 @@ type replica struct {
 	kvUsed float64
 	kvPeak float64
 
-	waiting bool        // parked on w until a completion or handover wakes it
-	w       *sim.Waiter // the node proc's latch, for parking and for steps
+	pass    pass     // the pass the machine is parked on
+	cur     *request // the request of a parked prefill pass
+	waiting bool     // parked until a completion or handover wakes it
+	resume  func()   // run, bound once
 }
+
+// role selects a replica's loop.
+type role int
+
+const (
+	roleColocated role = iota // both phases of its own requests
+	rolePrefill               // a prefill-pool node
+	roleDecode                // a disaggregated decode replica
+)
+
+// pass is the serving pass a replica machine waits on, if any.
+type pass int
+
+const (
+	passNone    pass = iota // parked on a wake or an arrival, or not started
+	passPrefill             // cur's prompt pass
+	passDecode              // a decode step of the batch
+)
 
 // NewRunner builds the fabric, generates the deterministic workload and
 // places it on the fabric's replicas. The testbed's step model eagerly
@@ -128,10 +153,12 @@ func (r *Runner) place() error {
 			return fmt.Errorf("serve: %s too small for disaggregated serving", r.cfg.Topo)
 		}
 	}
-	newNodes := func(first, count int) []*replica {
+	newNodes := func(first, count int, role role) []*replica {
 		ns := make([]*replica, count)
 		for i := range ns {
-			ns[i] = &replica{node: first + i}
+			n := &replica{r: r, role: role, node: first + i}
+			n.resume = n.run
+			ns[i] = n
 		}
 		for i := range r.reqs {
 			n := ns[i%count]
@@ -139,13 +166,17 @@ func (r *Runner) place() error {
 		}
 		return ns
 	}
-	r.replicas = newNodes(prefillNodes, nodes-prefillNodes)
+	decodeRole := roleColocated
+	if r.cfg.Disaggregated {
+		decodeRole = roleDecode
+	}
+	r.replicas = newNodes(prefillNodes, nodes-prefillNodes, decodeRole)
 	for _, rep := range r.replicas {
 		rep.ready = make([]*request, len(rep.queue))
 		rep.batch = make([]*request, r.cfg.MaxBatch)
 	}
 	if prefillNodes > 0 {
-		r.prefills = newNodes(0, prefillNodes)
+		r.prefills = newNodes(0, prefillNodes, rolePrefill)
 	}
 	if r.cfg.Arrival == ClosedLoop {
 		r.released = min(r.cfg.Concurrency, len(r.reqs))
@@ -156,7 +187,7 @@ func (r *Runner) place() error {
 // replicaOf returns the decode replica that owns q.
 func (r *Runner) replicaOf(q *request) *replica { return r.replicas[q.id%len(r.replicas)] }
 
-// admitterOf returns the node whose proc admits q: its prefill-pool node,
+// admitterOf returns the node whose machine admits q: its prefill-pool node,
 // or its replica under colocated placement.
 func (r *Runner) admitterOf(q *request) *replica {
 	if len(r.prefills) > 0 {
@@ -181,14 +212,14 @@ func (r *Runner) admissible(n *replica, now sim.Time) *request {
 	return q
 }
 
-// prefill admits q from node n and emits its first token. Admission reserves
-// q's KV footprint on its decode replica for its whole lifetime (vLLM-style
-// reserve-ahead, which can never deadlock mid-generation). The request then
-// completes at once (single-token generations) or is handed to the replica's
-// ready queue.
-func (r *Runner) prefill(p *sim.Proc, n *replica, q *request) {
+// startPrefill admits q from node n and starts its prompt pass. Admission
+// reserves q's KV footprint on its decode replica for its whole lifetime
+// (vLLM-style reserve-ahead, which can never deadlock mid-generation). It
+// reports whether the pass completed inline; otherwise next fires when it
+// ends. finishPrefill then emits the first token.
+func (r *Runner) startPrefill(n *replica, q *request, next func()) bool {
 	rep := r.replicaOf(q)
-	q.admit = p.Now()
+	q.admit = r.eng.Now()
 	q.kv = float64(q.prompt+q.decode) * r.kvPerTok
 	rep.kvUsed += q.kv
 	if rep.kvUsed > rep.kvPeak {
@@ -196,8 +227,15 @@ func (r *Runner) prefill(p *sim.Proc, n *replica, q *request) {
 	}
 	rep.inflight++
 	n.next++
-	r.cost.prefill(p, n.w, q, n.node, rep.node)
-	now := p.Now()
+	return r.cost.prefill(q, n.node, rep.node, next)
+}
+
+// finishPrefill emits q's first token once its prompt pass has ended: the
+// request then completes at once (single-token generations) or is handed
+// to its replica's ready queue.
+func (r *Runner) finishPrefill(q *request) {
+	rep := r.replicaOf(q)
+	now := r.eng.Now()
 	q.first = now
 	q.decoded = 1
 	if q.decoded >= q.decode {
@@ -211,7 +249,7 @@ func (r *Runner) prefill(p *sim.Proc, n *replica, q *request) {
 
 // complete retires q on replica rep at time now: frees its KV reservation,
 // releases the next closed-loop request to the node that admits it, and
-// wakes every proc that may now make progress. Freed capacity on rep can
+// wakes every machine that may now make progress. Freed capacity on rep can
 // unblock any prefill-pool node, or rep's own admission under colocated
 // placement; the final completion must also wake rep's decode loop so it can
 // exit.
@@ -233,27 +271,26 @@ func (r *Runner) complete(q *request, rep *replica, now sim.Time) {
 	r.wake(rep)
 }
 
-// wake resumes n's proc if it is parked. Done must run from engine context,
-// and wakes are reached from other procs' goroutines, so the signal hops
-// through a zero-delay event.
+// wake resumes n's machine if it is parked. A wake is reached from another
+// machine's step, so the resume hops through a zero-delay event rather than
+// running n inside that step.
 func (r *Runner) wake(n *replica) {
 	if n.waiting {
 		n.waiting = false
-		r.eng.Schedule(0, n.w.DoneFunc())
+		r.eng.Schedule(0, n.resume)
 	}
 }
 
-// idle blocks n's proc until its next queued request arrives, or, when that
-// request is unreleased, does not fit, or there is none, until a wake.
-func (r *Runner) idle(p *sim.Proc, n *replica, now sim.Time) {
+// idle parks n's machine until its next queued request arrives, or, when
+// that request is unreleased, does not fit, or there is none, until a wake.
+func (r *Runner) idle(n *replica, now sim.Time) {
 	if n.next < len(n.queue) {
 		if at := n.queue[n.next].arrival; at != unreleased && at > now {
-			p.Sleep(at - now)
+			r.eng.Schedule(at-now, n.resume)
 			return
 		}
 	}
 	n.waiting = true
-	n.w.Wait()
 }
 
 // admitReady moves handed-over requests into the decode batch up to the
@@ -269,13 +306,14 @@ func (rep *replica) admitReady() {
 	}
 }
 
-// decodeStep generates one token for every request in rep's batch: the
-// step model's decode pass for the batch's (size, context bucket) shape,
-// then retirement of finished requests in place. This is the warm serving
-// path; on the testbed it must not allocate.
+// startDecode starts one decode step of rep's batch: the step model's decode
+// pass for the batch's (size, context bucket) shape. It reports whether the
+// pass completed inline; otherwise next fires when it ends. finishDecode
+// then generates the step's tokens. This is the warm serving path; it must
+// not allocate.
 //
 //lint:steady
-func (r *Runner) decodeStep(p *sim.Proc, rep *replica) {
+func (r *Runner) startDecode(rep *replica, next func()) bool {
 	maxCtx := 0
 	for i := 0; i < rep.bn; i++ {
 		q := rep.batch[i]
@@ -283,8 +321,15 @@ func (r *Runner) decodeStep(p *sim.Proc, rep *replica) {
 			maxCtx = c
 		}
 	}
-	r.cost.decode(p, rep.w, rep.node, rep.bn, ctxBucketIdx(maxCtx))
-	now := p.Now()
+	return r.cost.decode(rep.node, rep.bn, ctxBucketIdx(maxCtx), next)
+}
+
+// finishDecode generates one token for every request in rep's batch and
+// retires finished requests in place.
+//
+//lint:steady
+func (r *Runner) finishDecode(rep *replica) {
+	now := r.eng.Now()
 	r.steps++
 	r.batchSum += int64(rep.bn)
 	w := 0
@@ -304,71 +349,114 @@ func (r *Runner) decodeStep(p *sim.Proc, rep *replica) {
 	rep.bn = w
 }
 
-// colocatedLoop runs both phases of rep's requests in one proc: an
+// run is n's machine. It starts at time zero and is resumed when the pass
+// it is parked on ends, after an arrival sleep, or by a wake: it finishes
+// that pass, then continues its role's loop until a pass blocks, it parks,
+// or its work ends. A pass that completes inline continues in the loop.
+//
+//lint:steady
+func (n *replica) run() {
+	r := n.r
+	switch n.pass {
+	case passPrefill:
+		r.finishPrefill(n.cur)
+		n.cur = nil
+		if n.role == roleColocated {
+			n.admitReady()
+		}
+	case passDecode:
+		r.finishDecode(n)
+	}
+	n.pass = passNone
+	switch n.role {
+	case roleColocated:
+		r.colocatedLoop(n)
+	case rolePrefill:
+		r.prefillLoop(n)
+	default:
+		r.decodeLoop(n)
+	}
+}
+
+// colocatedLoop runs both phases of rep's requests in one machine: an
 // admissible arrival's prefill preempts decode (prefill-priority continuous
 // batching), which is exactly the decode stall disaggregation removes.
-func (r *Runner) colocatedLoop(p *sim.Proc, rep *replica) {
-	rep.w = sim.NewWaiter(p)
+func (r *Runner) colocatedLoop(rep *replica) {
 	for rep.done < len(rep.queue) {
-		now := p.Now()
+		now := r.eng.Now()
 		if q := r.admissible(rep, now); q != nil {
-			r.prefill(p, rep, q)
+			if !r.startPrefill(rep, q, rep.resume) {
+				rep.pass, rep.cur = passPrefill, q
+				return
+			}
+			r.finishPrefill(q)
 			rep.admitReady()
 			continue
 		}
 		if rep.bn > 0 {
-			r.decodeStep(p, rep)
+			if !r.startDecode(rep, rep.resume) {
+				rep.pass = passDecode
+				return
+			}
+			r.finishDecode(rep)
 			continue
 		}
-		r.idle(p, rep, now)
+		r.idle(rep, now)
+		return
 	}
+	r.ended++
 }
 
-// prefillLoop is a prefill-pool node's proc: admit its requests in order
+// prefillLoop is a prefill-pool node's machine: admit its requests in order
 // onto their decode replicas, run their prompt passes and ship their KV
 // caches.
-func (r *Runner) prefillLoop(p *sim.Proc, pf *replica) {
-	pf.w = sim.NewWaiter(p)
+func (r *Runner) prefillLoop(pf *replica) {
 	for pf.next < len(pf.queue) {
-		now := p.Now()
+		now := r.eng.Now()
 		if q := r.admissible(pf, now); q != nil {
-			r.prefill(p, pf, q)
+			if !r.startPrefill(pf, q, pf.resume) {
+				pf.pass, pf.cur = passPrefill, q
+				return
+			}
+			r.finishPrefill(q)
 			continue
 		}
-		r.idle(p, pf, now)
+		r.idle(pf, now)
+		return
 	}
+	r.ended++
 }
 
-// decodeLoop is a disaggregated decode replica's proc: a pure token
+// decodeLoop is a disaggregated decode replica's machine: a pure token
 // generation loop over whatever the prefill pool has handed over.
-func (r *Runner) decodeLoop(p *sim.Proc, rep *replica) {
-	rep.w = sim.NewWaiter(p)
+func (r *Runner) decodeLoop(rep *replica) {
 	for rep.done < len(rep.queue) {
 		rep.admitReady()
 		if rep.bn == 0 {
 			rep.waiting = true
-			rep.w.Wait()
-			continue
+			return
 		}
-		r.decodeStep(p, rep)
+		if !r.startDecode(rep, rep.resume) {
+			rep.pass = passDecode
+			return
+		}
+		r.finishDecode(rep)
 	}
+	r.ended++
 }
 
 // Run simulates the scenario to completion and returns its result.
 func (r *Runner) Run() (*Result, error) {
+	// Every node's machine starts at time zero, the prefill pool first.
 	for _, pf := range r.prefills {
-		r.eng.Go(fmt.Sprintf("serve-prefill-%d", pf.node), func(p *sim.Proc) { r.prefillLoop(p, pf) })
+		r.eng.Schedule(0, pf.resume)
 	}
 	for _, rep := range r.replicas {
-		if r.cfg.Disaggregated {
-			r.eng.Go(fmt.Sprintf("serve-decode-%d", rep.node), func(p *sim.Proc) { r.decodeLoop(p, rep) })
-		} else {
-			r.eng.Go(fmt.Sprintf("serve-replica-%d", rep.node), func(p *sim.Proc) { r.colocatedLoop(p, rep) })
-		}
+		r.eng.Schedule(0, rep.resume)
 	}
 	end := r.runSim()
-	if live := r.eng.LiveProcs(); live != 0 {
-		return nil, fmt.Errorf("serve: %s deadlocked with %d live procs", r.cfg.Name(), live)
+	if stuck := len(r.prefills) + len(r.replicas) - r.ended; stuck != 0 {
+		return nil, fmt.Errorf("serve: %s deadlocked with %d node machines short of their loop's end", r.cfg.Name(), stuck)
 	}
 	if r.done != len(r.reqs) {
 		return nil, fmt.Errorf("serve: %s completed %d of %d requests", r.cfg.Name(), r.done, len(r.reqs))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"llmbw/internal/sim"
@@ -329,14 +328,36 @@ func steadyRunnerOn(tb testing.TB, base Config) *Runner {
 
 // fillBatch admits every request of the runner's first decode replica and
 // runs its prefill, leaving the decode batch at full width.
-func fillBatch(r *Runner, p *sim.Proc) *replica {
+func fillBatch(r *Runner) *replica {
 	rep := r.replicas[0]
-	rep.w = sim.NewWaiter(p)
+	nop := func() {}
 	for rep.next < len(rep.queue) {
-		r.prefill(p, rep, rep.queue[rep.next])
+		q := rep.queue[rep.next]
+		if !r.startPrefill(rep, q, nop) {
+			r.eng.Run()
+		}
+		r.finishPrefill(q)
 	}
 	rep.admitReady()
 	return rep
+}
+
+// steadyDecoder fills r's first replica's batch, runs four decode steps
+// (warming every executor pool) and returns a function that runs one more
+// step to its end, draining the engine.
+func steadyDecoder(r *Runner) (*replica, func()) {
+	rep := fillBatch(r)
+	nop := func() {}
+	step := func() {
+		if !r.startDecode(rep, nop) {
+			r.eng.Run()
+		}
+		r.finishDecode(rep)
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	return rep, step
 }
 
 // TestServeDecodeReplayAllocFree pins the serving tentpole's steady-state
@@ -344,11 +365,6 @@ func fillBatch(r *Runner, p *sim.Proc) *replica {
 // allocates nothing, both through the testbed's pooled executors and through
 // the datacenter step model's preallocated NVSwitch flows.
 func TestServeDecodeReplayAllocFree(t *testing.T) {
-	// runtime.MemStats is process-wide: at GOMAXPROCS > 1 the runtime's own
-	// work (a sudog for the proc↔engine channel handoff after the goroutine
-	// changes Ps, the background scavenger's timer) can land inside the
-	// window. Pin it to 1, as testing.AllocsPerRun does.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name string
 		base Config
@@ -358,28 +374,12 @@ func TestServeDecodeReplayAllocFree(t *testing.T) {
 		// step crosses the node's NVSwitch flow.
 		{"fat-tree", Config{Topo: "fat-tree:nodes=8", TensorParallel: 2, Requests: 64}},
 	} {
-		r := steadyRunnerOn(t, tc.base)
-		const measured = 8
-		var mallocs uint64
-		r.eng.Go("alloc-probe", func(p *sim.Proc) {
-			rep := fillBatch(r, p)
-			for i := 0; i < 4; i++ {
-				r.decodeStep(p, rep) // warm every executor pool
-			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for i := 0; i < measured; i++ {
-				r.decodeStep(p, rep)
-			}
-			runtime.ReadMemStats(&m1)
-			mallocs = m1.Mallocs - m0.Mallocs
-			if rep.bn != len(rep.batch) {
-				t.Errorf("%s: decode batch drained to %d during measurement", tc.name, rep.bn)
-			}
-		})
-		r.eng.Run()
-		if got := float64(mallocs) / measured; got != 0 {
+		rep, step := steadyDecoder(steadyRunnerOn(t, tc.base))
+		if got := testing.AllocsPerRun(8, step); got != 0 {
 			t.Errorf("%s: steady decode replay allocates %v allocs/step, want 0", tc.name, got)
+		}
+		if rep.bn != len(rep.batch) {
+			t.Errorf("%s: decode batch drained to %d during measurement", tc.name, rep.bn)
 		}
 	}
 }
@@ -389,22 +389,15 @@ func TestServeDecodeReplayAllocFree(t *testing.T) {
 // all-reduces through compiled plans, event core). Allocs/op is pinned at
 // zero by TestServeDecodeReplayAllocFree.
 func BenchmarkServeDecodeSteady(b *testing.B) {
-	r := steadyRunner(b)
-	r.eng.Go("bench", func(p *sim.Proc) {
-		rep := fillBatch(r, p)
-		for i := 0; i < 4; i++ {
-			r.decodeStep(p, rep)
+	rep, step := steadyDecoder(steadyRunner(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < rep.bn; j++ {
+			rep.batch[j].decoded = 1 // hold the batch at full width
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < rep.bn; j++ {
-				rep.batch[j].decoded = 1 // hold the batch at full width
-			}
-			r.decodeStep(p, rep)
-		}
-	})
-	r.eng.Run()
+		step()
+	}
 }
 
 func TestServeRunCached(t *testing.T) {

@@ -77,9 +77,8 @@ func newTestbedSteps(r *Runner) *testbedSteps {
 }
 
 // prefill replays the prompt bucket's program, KV shipment included.
-func (t *testbedSteps) prefill(_ *sim.Proc, w *sim.Waiter, q *request, _, _ int) {
-	t.preExec[promptBucket(q.prompt)].Run(w.DoneFunc())
-	w.Wait()
+func (t *testbedSteps) prefill(q *request, _, _ int, next func()) bool {
+	return t.preExec[promptBucket(q.prompt)].Run(next)
 }
 
 // decode replays the (batch, context bucket) shape's program. The scheduler
@@ -87,9 +86,8 @@ func (t *testbedSteps) prefill(_ *sim.Proc, w *sim.Waiter, q *request, _, _ int)
 // hence its own steady marker.
 //
 //lint:steady
-func (t *testbedSteps) decode(_ *sim.Proc, w *sim.Waiter, _, bn, cb int) {
-	t.decExec[[2]int{bn, cb}].Run(w.DoneFunc())
-	w.Wait()
+func (t *testbedSteps) decode(_, bn, cb int, next func()) bool {
+	return t.decExec[[2]int{bn, cb}].Run(next)
 }
 
 // serveEnv binds the serving programs to the live cluster. KV residency is

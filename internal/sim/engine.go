@@ -1,6 +1,6 @@
-// Package sim provides a deterministic discrete-event simulation engine with
-// cooperative processes. It is the substrate on which the cluster fabric,
-// training strategies and stress tests run.
+// Package sim provides a deterministic discrete-event simulation engine. It
+// is the substrate on which the cluster fabric, training strategies and
+// stress tests run.
 //
 // The engine owns a virtual clock measured in nanoseconds. Events are
 // callbacks scheduled at absolute virtual times and executed in (time, seq)
@@ -10,10 +10,15 @@
 // earliest timer, which is the same total order one heap would give. A
 // re-armable Timer takes its place in that order exactly as a freshly
 // scheduled event would, without leaving superseded firings behind.
-// Processes (Proc) are goroutines
-// that interleave cooperatively with the event loop: at any moment either the
-// engine or exactly one process is running, which keeps the simulation
-// race-free without locks in model code.
+//
+// There is one execution model: every simulated process is a callback state
+// machine that holds its own state and a resume callback bound once. A step
+// that takes virtual time hands resume to the engine (as a scheduled event or
+// a completion callback) and returns; resume re-enters the machine where it
+// stopped. Model code runs only on the goroutine running its engine (a
+// shard's worker under ShardedEngine) and starts no goroutine of its own,
+// which keeps the simulation race-free without locks. Barrier and Rendezvous
+// coordinate machines through the same continuations.
 package sim
 
 import (
@@ -80,21 +85,15 @@ type Engine struct {
 	events []event // heapArity-ary min-heap ordered by event.less
 	seq    int64
 
-	// lane holds, from laneHead on, events scheduled for the instant at
-	// which they were scheduled. They share one timestamp and arrive in seq
-	// order, so the FIFO is already sorted and its head is its least event;
-	// an event for the current instant goes to the heap instead while the
-	// lane still holds another instant (after RunUntil moved the clock
-	// back to an earlier deadline). The lane rewinds to empty whenever its
-	// last event is taken, so its backing reaches steady capacity.
+	// lane holds, from laneHead on, events scheduled for the current
+	// instant. They share one timestamp and arrive in seq order, so the FIFO
+	// is already sorted and its head is its least event. The clock never
+	// moves while the lane holds an event, since the lane's events are the
+	// least pending; the lane rewinds to empty whenever its last event is
+	// taken, so its backing reaches steady capacity.
 	lane     []event
 	laneHead int
 
-	// ctl is signalled by a process whenever it blocks or terminates,
-	// returning control to the event loop.
-	ctl chan struct{}
-
-	procs   int // live processes (for leak detection)
 	stopped bool
 
 	// Re-armable timers live outside the heap. timers registers every
@@ -158,9 +157,7 @@ func (e *Engine) pop() event {
 }
 
 // New returns an engine with the clock at zero.
-func New() *Engine {
-	return &Engine{ctl: make(chan struct{})}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -172,9 +169,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
-	// A later instant, or the current one while the lane still holds
-	// another, goes to the heap.
-	if t > e.now || (e.laneHead < len(e.lane) && e.lane[e.laneHead].at != t) {
+	if t > e.now {
 		e.push(event{at: t, seq: e.seq, fn: fn})
 		return
 	}
@@ -201,10 +196,12 @@ func (e *Engine) Run() Time { return e.RunUntil(1<<62 - 1) }
 // virtual time, which is the deadline when work remains beyond it, or the
 // time of the last executed event when the queue drained (or Stop was called)
 // first — the clock does not jump to the deadline when the simulation simply
-// ran out of work, so callers can distinguish the two outcomes.
+// ran out of work, so callers can distinguish the two outcomes. The clock
+// never moves back: a deadline below it runs nothing and leaves it where it
+// is.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	if e.runThrough(deadline) {
+	if e.runThrough(deadline) && e.now < deadline {
 		// Reached the horizon with work still queued: jump the clock
 		// to the deadline and leave the remaining events pending.
 		e.now = deadline
@@ -318,8 +315,3 @@ func (e *Engine) inject(at Time, seq int64, fn func()) {
 
 // Pending reports the number of scheduled events plus armed timers.
 func (e *Engine) Pending() int { return len(e.events) + len(e.lane) - e.laneHead + e.armed }
-
-// LiveProcs reports the number of processes that have started and not yet
-// returned. A nonzero value after Run means processes are deadlocked waiting
-// for wakeups that never came.
-func (e *Engine) LiveProcs() int { return e.procs }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -131,6 +132,36 @@ func TestRunUntilReachedDeadlineJumpsClock(t *testing.T) {
 	}
 }
 
+// The clock never moves back: a deadline below it runs nothing and leaves
+// it in place, so scheduling between that deadline and the clock is
+// scheduling in the past, and events still run in time order.
+func TestRunUntilNeverMovesClockBack(t *testing.T) {
+	e := New()
+	var ran []Time
+	rec := func() { ran = append(ran, e.Now()) }
+	e.ScheduleAt(5, rec)
+	e.ScheduleAt(10, rec)
+	if end := e.RunUntil(5); end != 5 {
+		t.Fatalf("RunUntil(5) = %v, want 5", end)
+	}
+	if end := e.RunUntil(3); end != 5 || e.Now() != 5 {
+		t.Fatalf("RunUntil(3) = %v with the clock at %v, want both 5", end, e.Now())
+	}
+	past := func() (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		e.ScheduleAt(4, rec)
+		return false
+	}
+	if !past() {
+		t.Error("ScheduleAt(4) after the clock reached 5 did not panic")
+	}
+	e.ScheduleAt(5, rec)
+	e.Run()
+	if want := []Time{5, 5, 10}; fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("events ran at %v, want %v", ran, want)
+	}
+}
+
 // The event queue must execute equal-time events in schedule order and
 // distinct times in ascending order — i.e. global (time, seq) order — for any
 // interleaving of pushes and pops. This pins the 4-ary value-heap replacement
@@ -213,133 +244,66 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-func TestProcSleepAdvancesClock(t *testing.T) {
-	e := New()
-	var woke Time
-	e.Go("sleeper", func(p *Proc) {
-		p.Sleep(100)
-		woke = p.Now()
-	})
-	e.Run()
-	if woke != 100 {
-		t.Errorf("woke at %v, want 100", woke)
-	}
-	if e.LiveProcs() != 0 {
-		t.Errorf("live procs = %d, want 0", e.LiveProcs())
-	}
+// party is a callback machine for the coordination tests. It runs its steps
+// in order — a sleep of d when d > 0, an arrival through arrive when d == 0
+// — and logs the clock each time an arrival passes, inline or resumed.
+type party struct {
+	e      *Engine
+	steps  []Time
+	pc     int
+	arrive func(next func()) bool
+	parked bool // waiting for an arrival to pass
+	passed []Time
+	resume func()
 }
 
-func TestProcsInterleaveDeterministically(t *testing.T) {
-	run := func() []string {
-		e := New()
-		var log []string
-		for _, name := range []string{"a", "b", "c"} {
-			name := name
-			e.Go(name, func(p *Proc) {
-				for i := 0; i < 3; i++ {
-					p.Sleep(10)
-					log = append(log, name)
-				}
-			})
+// startParty binds a party and schedules its start at the current instant.
+func startParty(e *Engine, arrive func(next func()) bool, steps ...Time) *party {
+	p := &party{e: e, steps: steps, arrive: arrive}
+	p.resume = p.run
+	e.Schedule(0, p.resume)
+	return p
+}
+
+func (p *party) run() {
+	if p.parked {
+		p.parked = false
+		p.passed = append(p.passed, p.e.Now())
+	}
+	for p.pc < len(p.steps) {
+		d := p.steps[p.pc]
+		p.pc++
+		if d > 0 {
+			p.e.Schedule(d, p.resume)
+			return
 		}
-		e.Run()
-		return log
-	}
-	first := run()
-	if len(first) != 9 {
-		t.Fatalf("log has %d entries, want 9", len(first))
-	}
-	for trial := 0; trial < 5; trial++ {
-		again := run()
-		for i := range first {
-			if first[i] != again[i] {
-				t.Fatalf("nondeterministic interleaving: %v vs %v", first, again)
-			}
+		if !p.arrive(p.resume) {
+			p.parked = true
+			return
 		}
-	}
-}
-
-func TestAwaitSynchronousResume(t *testing.T) {
-	e := New()
-	done := false
-	e.Go("p", func(p *Proc) {
-		p.Await(func(resume func()) { resume() })
-		done = true
-	})
-	e.Run()
-	if !done {
-		t.Error("process did not survive synchronous resume")
-	}
-}
-
-func TestAwaitAsynchronousResume(t *testing.T) {
-	e := New()
-	var at Time
-	e.Go("p", func(p *Proc) {
-		p.Await(func(resume func()) { e.Schedule(77, resume) })
-		at = p.Now()
-	})
-	e.Run()
-	if at != 77 {
-		t.Errorf("resumed at %v, want 77", at)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := New()
-	var wg WaitGroup
-	wg.Add(3)
-	var doneAt Time
-	for i := 1; i <= 3; i++ {
-		d := Time(i * 10)
-		e.Go("worker", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	e.Run()
-	if doneAt != 30 {
-		t.Errorf("waiter resumed at %v, want 30", doneAt)
-	}
-}
-
-func TestWaitGroupAlreadyZero(t *testing.T) {
-	e := New()
-	ok := false
-	var wg WaitGroup
-	e.Go("p", func(p *Proc) {
-		wg.Wait(p)
-		ok = true
-	})
-	e.Run()
-	if !ok {
-		t.Error("Wait on zero WaitGroup blocked")
+		p.passed = append(p.passed, p.e.Now())
 	}
 }
 
 func TestBarrierSynchronizesAll(t *testing.T) {
 	e := New()
 	b := &Barrier{N: 4}
-	var resumed []Time
+	wait := func(next func()) bool { return b.Wait(e, next) }
+	var parties []*party
 	for i := 0; i < 4; i++ {
-		d := Time((i + 1) * 10)
-		e.Go("p", func(p *Proc) {
-			p.Sleep(d)
-			b.Wait(p)
-			resumed = append(resumed, p.Now())
-		})
+		parties = append(parties, startParty(e, wait, Time((i+1)*10), 0))
 	}
 	e.Run()
+	var resumed []Time
+	for _, p := range parties {
+		resumed = append(resumed, p.passed...)
+	}
 	if len(resumed) != 4 {
-		t.Fatalf("resumed %d procs, want 4", len(resumed))
+		t.Fatalf("resumed %d parties, want 4", len(resumed))
 	}
 	for _, at := range resumed {
 		if at != 40 {
-			t.Errorf("proc resumed at %v, want 40 (last arrival)", at)
+			t.Errorf("party resumed at %v, want 40 (last arrival)", at)
 		}
 	}
 }
@@ -347,19 +311,17 @@ func TestBarrierSynchronizesAll(t *testing.T) {
 func TestBarrierReusableAcrossRounds(t *testing.T) {
 	e := New()
 	b := &Barrier{N: 2}
-	rounds := make([]int, 2)
+	wait := func(next func()) bool { return b.Wait(e, next) }
+	var parties []*party
 	for i := 0; i < 2; i++ {
-		i := i
-		e.Go("p", func(p *Proc) {
-			for r := 0; r < 3; r++ {
-				p.Sleep(Time(i + 1))
-				b.Wait(p)
-				rounds[i]++
-			}
-		})
+		var steps []Time
+		for r := 0; r < 3; r++ {
+			steps = append(steps, Time(i+1), 0)
+		}
+		parties = append(parties, startParty(e, wait, steps...))
 	}
 	e.Run()
-	if rounds[0] != 3 || rounds[1] != 3 {
+	if rounds := []int{len(parties[0].passed), len(parties[1].passed)}; rounds[0] != 3 || rounds[1] != 3 {
 		t.Errorf("rounds = %v, want [3 3]", rounds)
 	}
 }
@@ -368,23 +330,23 @@ func TestRendezvousLeaderRunsOnce(t *testing.T) {
 	e := New()
 	r := &Rendezvous{N: 3}
 	leaders := 0
-	var resumedAt []Time
+	do := func(next func()) bool {
+		return r.Do(e, func(done func()) {
+			leaders++
+			e.Schedule(50, done)
+		}, next)
+	}
+	var parties []*party
 	for i := 0; i < 3; i++ {
-		e.Go("p", func(p *Proc) {
-			r.Do(p, func(done func()) {
-				leaders++
-				e.Schedule(50, done)
-			})
-			resumedAt = append(resumedAt, p.Now())
-		})
+		parties = append(parties, startParty(e, do, 0))
 	}
 	e.Run()
 	if leaders != 1 {
 		t.Errorf("leader ran %d times, want 1", leaders)
 	}
-	for _, at := range resumedAt {
-		if at != 50 {
-			t.Errorf("party resumed at %v, want 50", at)
+	for _, p := range parties {
+		if len(p.passed) != 1 || p.passed[0] != 50 {
+			t.Errorf("party resumed at %v, want [50]", p.passed)
 		}
 	}
 }
@@ -392,14 +354,12 @@ func TestRendezvousLeaderRunsOnce(t *testing.T) {
 func TestRendezvousSingleParty(t *testing.T) {
 	e := New()
 	r := &Rendezvous{N: 1}
-	var at Time
-	e.Go("p", func(p *Proc) {
-		r.Do(p, func(done func()) { e.Schedule(9, done) })
-		at = p.Now()
-	})
+	p := startParty(e, func(next func()) bool {
+		return r.Do(e, func(done func()) { e.Schedule(9, done) }, next)
+	}, 0)
 	e.Run()
-	if at != 9 {
-		t.Errorf("resumed at %v, want 9", at)
+	if len(p.passed) != 1 || p.passed[0] != 9 {
+		t.Errorf("resumed at %v, want [9]", p.passed)
 	}
 }
 
@@ -407,15 +367,14 @@ func TestRendezvousReusable(t *testing.T) {
 	e := New()
 	r := &Rendezvous{N: 2}
 	count := 0
+	do := func(next func()) bool {
+		return r.Do(e, func(done func()) {
+			count++
+			e.Schedule(1, done)
+		}, next)
+	}
 	for i := 0; i < 2; i++ {
-		e.Go("p", func(p *Proc) {
-			for round := 0; round < 4; round++ {
-				r.Do(p, func(done func()) {
-					count++
-					e.Schedule(1, done)
-				})
-			}
-		})
+		startParty(e, do, 0, 0, 0, 0)
 	}
 	e.Run()
 	if count != 4 {
@@ -423,24 +382,19 @@ func TestRendezvousReusable(t *testing.T) {
 	}
 }
 
-func TestManyProcsStress(t *testing.T) {
+// A leader whose done fires before it returns lets the last arrival pass
+// inline, as the barrier's last arrival does; the parked parties resume at
+// the same instant.
+func TestRendezvousInlineLeader(t *testing.T) {
 	e := New()
-	rng := rand.New(rand.NewSource(1))
-	total := 0
-	for i := 0; i < 100; i++ {
-		n := 1 + rng.Intn(20)
-		e.Go("p", func(p *Proc) {
-			for j := 0; j < n; j++ {
-				p.Sleep(Time(1 + rng.Intn(1000)))
-			}
-			total++
-		})
+	r := &Rendezvous{N: 2}
+	do := func(next func()) bool {
+		return r.Do(e, func(done func()) { done() }, next)
 	}
+	a := startParty(e, do, 0)
+	b := startParty(e, do, 5, 0)
 	e.Run()
-	if total != 100 {
-		t.Errorf("completed %d procs, want 100", total)
-	}
-	if e.LiveProcs() != 0 {
-		t.Errorf("leaked %d procs", e.LiveProcs())
+	if len(a.passed) != 1 || a.passed[0] != 5 || len(b.passed) != 1 || b.passed[0] != 5 {
+		t.Errorf("passed at %v and %v, want [5] and [5]", a.passed, b.passed)
 	}
 }

@@ -1,223 +1,37 @@
 package sim
 
-import "fmt"
-
-// Proc is a cooperative simulation process. A Proc runs on its own goroutine
-// but is strictly interleaved with the event loop: whenever the Proc is
-// executing, the engine is paused, and vice versa. All blocking operations
-// (Sleep, Await, rendezvous) hand control back to the engine.
-type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-}
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.Now() }
-
-// Go starts a new process running body. It may be called before Run or from
-// within an event or another process; the new process begins executing at the
-// current virtual time, after the caller yields.
-func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.procs++
-	e.Schedule(0, func() {
-		go func() {
-			defer func() {
-				// Safe despite running on the process goroutine: the ctl
-				// send below hands control back before the engine reads it.
-				e.procs-- //lint:allow goroutine-shared-write — serialized by the ctl handshake
-				e.ctl <- struct{}{}
-			}()
-			<-p.resume
-			body(p)
-		}()
-		p.transfer()
-	})
-	return p
-}
-
-// transfer hands control to p and waits until it blocks or terminates. Must
-// be called from engine context (inside an event callback).
-func (p *Proc) transfer() {
-	p.resume <- struct{}{}
-	<-p.eng.ctl
-}
-
-// block suspends the process until something calls transfer on it. Must be
-// called from process context.
-func (p *Proc) block() {
-	p.eng.ctl <- struct{}{}
-	<-p.resume
-}
-
-// Wakeup resumes a blocked process from engine context (e.g. inside a
-// scheduled event). Calling it while the process is running panics upstream
-// via channel misuse, which indicates a model bug.
-func (p *Proc) wakeup() { p.transfer() }
-
-// Await calls start with a resume function, then blocks until that function
-// is invoked. The resume function must be called exactly once, either
-// synchronously from start itself or later from engine context (an event
-// callback). This is the bridge between the process world and callback-style
-// completions such as network flows.
-func (p *Proc) Await(start func(resume func())) {
-	fired := false
-	blocked := false
-	start(func() {
-		if !blocked {
-			// Completed synchronously before the process blocked;
-			// no context switch is needed.
-			fired = true
-			return
-		}
-		p.wakeup()
-	})
-	if fired {
-		return
-	}
-	blocked = true
-	p.block()
-}
-
-// Waiter is a reusable single-completion latch for one process: the
-// allocation-free counterpart of Await for hot loops. The owning process
-// hands Done (or the stable DoneFunc value) to an asynchronous completion and
-// then blocks in Wait; a Done that arrives before Wait (a synchronous
-// completion) is remembered, exactly like Await's fired fast path. A Waiter
-// serves any number of sequential waits, but only one at a time and only for
-// the process it was created for.
-type Waiter struct {
-	p       *Proc
-	fired   bool
-	blocked bool
-	done    func()
-}
-
-// NewWaiter returns a Waiter owned by p.
-func NewWaiter(p *Proc) *Waiter {
-	w := &Waiter{p: p}
-	w.done = w.Done
-	return w
-}
-
-// DoneFunc returns the stable func value bound to Done, so callers can pass
-// the completion callback repeatedly without allocating a closure per wait.
-func (w *Waiter) DoneFunc() func() { return w.done }
-
-// Done signals the completion. Must be called exactly once per Wait, either
-// synchronously before the owner blocks or later from engine context.
-func (w *Waiter) Done() {
-	if !w.blocked {
-		w.fired = true
-		return
-	}
-	w.blocked = false
-	w.p.wakeup()
-}
-
-// Wait blocks the owning process until Done has been called, then resets the
-// latch for the next round. Must be called from the owning process.
-func (w *Waiter) Wait() {
-	if w.fired {
-		w.fired = false
-		return
-	}
-	w.blocked = true
-	w.p.block()
-}
-
-// Sleep suspends the process for d nanoseconds of virtual time.
-func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %v", d))
-	}
-	if d == 0 {
-		return
-	}
-	p.Await(func(resume func()) { p.eng.Schedule(d, resume) })
-}
-
-// Yield reschedules the process at the current time, letting other events and
-// processes with the same timestamp run first.
-func (p *Proc) Yield() {
-	p.Await(func(resume func()) { p.eng.Schedule(0, resume) })
-}
-
-// WaitGroup is a completion counter for processes, analogous to
-// sync.WaitGroup but driven by virtual time.
-type WaitGroup struct {
-	n       int
-	waiters []func()
-}
-
-// Add increments the counter.
-func (w *WaitGroup) Add(n int) { w.n += n }
-
-// Done decrements the counter; at zero all waiters resume. Must run in
-// process or engine context.
-func (w *WaitGroup) Done() {
-	w.n--
-	if w.n < 0 {
-		panic("sim: WaitGroup counter below zero")
-	}
-	if w.n == 0 {
-		ws := w.waiters
-		w.waiters = nil
-		for _, f := range ws {
-			f()
-		}
-	}
-}
-
-// Wait blocks p until the counter reaches zero. Returns immediately if it is
-// already zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.n == 0 {
-		return
-	}
-	p.Await(func(resume func()) {
-		w.waiters = append(w.waiters, func() { p.eng.Schedule(0, resume) })
-	})
-}
-
-// Barrier synchronizes a fixed party of processes: each call to Wait blocks
-// until all N parties have arrived, then all resume and the barrier resets
-// for the next round.
+// Barrier synchronizes a fixed party of N callback machines: a round ends
+// when all N have arrived, and the barrier then resets for the next round.
 type Barrier struct {
 	N       int
 	arrived int
 	waiting []func()
 }
 
-// Wait blocks until all parties arrive.
-func (b *Barrier) Wait(p *Proc) {
+// Wait records one arrival. The last arrival of a round passes: Wait
+// schedules every parked party's next at the current instant, in arrival
+// order, and returns true, so the caller continues inline. An earlier
+// arrival parks: Wait keeps its next and returns false.
+func (b *Barrier) Wait(eng *Engine, next func()) bool {
 	if b.N <= 0 {
 		panic("sim: barrier with no parties")
 	}
 	b.arrived++
-	if b.arrived == b.N {
-		b.arrived = 0
-		ws := b.waiting
-		b.waiting = nil
-		for _, f := range ws {
-			p.eng.Schedule(0, f)
-		}
-		return
+	if b.arrived < b.N {
+		b.waiting = append(b.waiting, next)
+		return false
 	}
-	p.Await(func(resume func()) {
-		b.waiting = append(b.waiting, resume)
-	})
+	b.arrived = 0
+	ws := b.waiting
+	b.waiting = nil
+	for _, f := range ws {
+		eng.Schedule(0, f)
+	}
+	return true
 }
 
 // Rendezvous coordinates a leader-executed collective action among N
-// processes: every party calls Do; the last arrival runs leader with a done
+// parties: every party calls Do; the last arrival runs leader with a done
 // callback, and when done fires all parties resume. This models operations
 // (e.g. NCCL collectives) where all ranks participate but the simulation only
 // needs to drive the flows once.
@@ -227,32 +41,35 @@ type Rendezvous struct {
 	waiting []func()
 }
 
-// Do blocks p until all N parties arrive; the final arrival invokes
-// leader(done). All parties resume when done is called (from engine context).
-func (r *Rendezvous) Do(p *Proc, leader func(done func())) {
+// Do records one arrival. An earlier arrival parks: Do keeps its next and
+// returns false. The last arrival runs leader(done); when done fires, every
+// parked party's next is scheduled at the current instant, in arrival order,
+// and the last arrival resumes. Do returns true when done fired before
+// leader returned, so the caller continues inline; otherwise done calls the
+// last arrival's next itself.
+func (r *Rendezvous) Do(eng *Engine, leader func(done func()), next func()) bool {
 	if r.N <= 0 {
 		panic("sim: rendezvous with no parties")
 	}
-	if r.N == 1 {
-		p.Await(leader)
-		return
-	}
 	r.arrived++
 	if r.arrived < r.N {
-		p.Await(func(resume func()) {
-			r.waiting = append(r.waiting, resume)
-		})
-		return
+		r.waiting = append(r.waiting, next)
+		return false
 	}
 	r.arrived = 0
-	p.Await(func(resume func()) {
-		waiters := r.waiting
-		r.waiting = nil
-		leader(func() {
-			for _, f := range waiters {
-				p.eng.Schedule(0, f)
-			}
-			resume()
-		})
+	ws := r.waiting
+	r.waiting = nil
+	leading, fired := true, false
+	leader(func() {
+		for _, f := range ws {
+			eng.Schedule(0, f)
+		}
+		if leading {
+			fired = true
+			return
+		}
+		next()
 	})
+	leading = false
+	return fired
 }

@@ -50,7 +50,7 @@ type injection struct {
 
 // ShardedEngine partitions one simulation across per-partition sub-engines
 // that advance under conservative lookahead. Each shard owns its links,
-// flows and processes outright; the only cross-shard influence is an
+// flows and machines outright; the only cross-shard influence is an
 // explicit Inject over a Connect-declared edge, whose lookahead lower-bounds
 // the delivery delay. That bound is what makes windows safe: shard i may
 // execute every event strictly before
@@ -168,8 +168,8 @@ func (se *ShardedEngine) Lookahead(from, to int) (Time, bool) {
 }
 
 // Inject schedules fn on shard to, delay nanoseconds after shard from's
-// clock. It must be called from shard from's execution context (an event or
-// process running on that shard). The delay must respect the Connected
+// clock. It must be called from shard from's execution context (an event
+// running on that shard). The delay must respect the Connected
 // edge's lookahead — that promise is the entire basis of the parallel mode's
 // correctness, so violations panic rather than corrupt determinism. A
 // same-shard injection degenerates to a plain Schedule.
@@ -224,15 +224,6 @@ func (se *ShardedEngine) Pending() int {
 	n := 0
 	for _, sh := range se.shards {
 		n += sh.Pending()
-	}
-	return n
-}
-
-// LiveProcs sums live processes across shards.
-func (se *ShardedEngine) LiveProcs() int {
-	n := 0
-	for _, sh := range se.shards {
-		n += sh.LiveProcs()
 	}
 	return n
 }
@@ -462,15 +453,17 @@ func (se *ShardedEngine) Close() {
 	}
 }
 
-// jumpTo lands every shard clock on the deadline (work remains beyond it)
-// and returns it — the multi-shard version of Engine.RunUntil's clock jump.
+// jumpTo moves every shard clock below the deadline up to it (work remains
+// beyond it) and returns the merged clock — the multi-shard version of
+// Engine.RunUntil's clock jump, which leaves a clock past the deadline where
+// it is.
 func (se *ShardedEngine) jumpTo(deadline Time) Time {
 	for _, sh := range se.shards {
 		if sh.now < deadline {
 			sh.now = deadline
 		}
 	}
-	return deadline
+	return se.Now()
 }
 
 func (se *ShardedEngine) anyPending() bool {

@@ -140,6 +140,24 @@ func TestShardedRunUntilMatchesSerial(t *testing.T) {
 	}
 }
 
+// A deadline below the merged clock runs nothing and returns the clock, in
+// both modes, as Engine.RunUntil does.
+func TestShardedRunUntilBelowClock(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		setSharded(t, parallel)
+		se := NewSharded(2)
+		defer se.Close()
+		se.Shard(0).ScheduleAt(5, func() {})
+		se.Shard(0).ScheduleAt(10, func() {})
+		if end := se.RunUntil(5); end != 5 {
+			t.Fatalf("parallel=%v: RunUntil(5) = %v, want 5", parallel, end)
+		}
+		if end := se.RunUntil(3); end != 5 || se.Now() != 5 {
+			t.Errorf("parallel=%v: RunUntil(3) = %v with the clock at %v, want both 5", parallel, end, se.Now())
+		}
+	}
+}
+
 // TestInjectionOrdering pins the merge order of same-timestamp arrivals on
 // one shard: local events first (their seq is below the injection band),
 // then injections in source-shard-major order — in both execution modes.
@@ -211,9 +229,9 @@ func TestLookaheadAccessors(t *testing.T) {
 	}
 }
 
-// TestShardedProcs runs cooperative processes on two shards with a
-// cross-shard hand-off, in both modes: a polling proc on shard 1 is released
-// by an injection from a proc on shard 0. The release lands at t=1500
+// TestShardedProcs runs callback machines on two shards with a cross-shard
+// hand-off, in both modes: a polling machine on shard 1 is released by an
+// injection from a machine on shard 0. The release lands at t=1500
 // together with the gate's own wakeup; the local wakeup's seq is below the
 // injection band, so the gate deterministically sees the flag one poll later.
 func TestShardedProcs(t *testing.T) {
@@ -225,23 +243,23 @@ func TestShardedProcs(t *testing.T) {
 		se.Connect(0, 1, L)
 		released := false // shard-1-owned
 		var doneAt Time
-		se.Shard(1).Go("gate", func(p *Proc) {
-			for !released {
-				p.Sleep(10)
+		gate := se.Shard(1)
+		var poll func()
+		poll = func() {
+			if !released {
+				gate.Schedule(10, poll)
+				return
 			}
-			doneAt = p.Now()
-		})
-		se.Shard(0).Go("producer", func(p *Proc) {
-			p.Sleep(500)
-			se.Inject(0, 1, L, func() { released = true })
-		})
-		if se.LiveProcs() != 2 {
-			t.Fatalf("parallel=%v: LiveProcs = %d before Run, want 2", parallel, se.LiveProcs())
+			doneAt = gate.Now()
 		}
+		gate.Schedule(0, poll)
+		producer := se.Shard(0)
+		producer.Schedule(0, func() {
+			producer.Schedule(500, func() {
+				se.Inject(0, 1, L, func() { released = true })
+			})
+		})
 		se.Run()
-		if se.LiveProcs() != 0 {
-			t.Fatalf("parallel=%v: LiveProcs = %d after Run, want 0", parallel, se.LiveProcs())
-		}
 		if doneAt != 1510 {
 			t.Errorf("parallel=%v: gate released at %v, want 1510ns", parallel, doneAt)
 		}

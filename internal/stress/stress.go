@@ -128,18 +128,35 @@ type BandwidthResult struct {
 
 // kernel keeps a bidirectional transfer saturated between a local route and
 // the remote side for the duration of the test, in chunked flows like the
-// perftest kernels' message loop.
+// perftest kernels' message loop: one stream per direction, each starting
+// at time zero in tx, rx order.
 func kernel(c *topology.Cluster, name string, tx, rx topology.Route, deadline sim.Time) {
-	const chunk = 1e9
-	launch := func(dir string, r topology.Route) {
-		c.Eng.Go(name+"/"+dir, func(p *sim.Proc) {
-			for p.Now() < deadline {
-				c.Net.Transfer(p, r.Flow(name+"/"+dir, chunk))
-			}
-		})
+	for _, s := range []*stream{
+		{c: c, name: name + "/tx", route: tx, deadline: deadline},
+		{c: c, name: name + "/rx", route: rx, deadline: deadline},
+	} {
+		s.resume = s.send
+		c.Eng.Schedule(0, s.resume)
 	}
-	launch("tx", tx)
-	launch("rx", rx)
+}
+
+// stream is one direction of a kernel: a callback machine that sends the
+// next chunk whenever the previous one lands, until the deadline.
+type stream struct {
+	c        *topology.Cluster
+	name     string
+	route    topology.Route
+	deadline sim.Time
+	resume   func() // send, bound once
+}
+
+// chunk is the message size of the kernels' send loop.
+const chunk = 1e9
+
+func (s *stream) send() {
+	if s.c.Eng.Now() < s.deadline {
+		s.c.Net.StartFlow(s.route.Flow(s.name, chunk), s.resume)
+	}
 }
 
 // roceRoute builds the full host-memory RDMA path from node 0's socket to

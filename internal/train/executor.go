@@ -19,18 +19,17 @@ import (
 // concrete flow/NVMe constructors the pooled flow sets are built from — so
 // cached schedules stay pure data shared across runs.
 
-// runIteration executes one training step of the configured strategy by
-// replaying its compiled schedule, building the schedule and executor on
-// first use. Ranks run in lockstep (the workload is SPMD-symmetric), so one
-// driver process advances the shared program while flows and collectives
-// contend on the fabric.
-func (r *Runner) runIteration(p *sim.Proc) {
+// replay starts one training step of the configured strategy by replaying
+// its compiled schedule, building the schedule and executor on first use.
+// Ranks run in lockstep (the workload is SPMD-symmetric), so one driver
+// advances the shared program while flows and collectives contend on the
+// fabric. It reports whether the iteration completed inline; otherwise done
+// fires when it ends.
+func (r *Runner) replay(done func()) bool {
 	if r.exec == nil {
 		r.exec = schedule.NewExecutor(trainEnv{r}, r.iterationSchedule())
-		r.waiter = sim.NewWaiter(p)
 	}
-	r.exec.Run(r.waiter.DoneFunc())
-	r.waiter.Wait()
+	return r.exec.Run(done)
 }
 
 // trainEnv implements schedule.Env over a Runner.

@@ -109,10 +109,9 @@ type Runner struct {
 	// every call.
 	flowScratch []*fabric.Flow
 
-	// exec/waiter are the compiled-schedule replay state, built lazily on the
-	// first iteration and reused thereafter.
-	exec   *schedule.Executor
-	waiter *sim.Waiter
+	// exec is the compiled-schedule replay state, built lazily on the first
+	// iteration and reused thereafter.
+	exec *schedule.Executor
 }
 
 // newRunner validates the configuration and builds the simulated cluster and
@@ -195,72 +194,15 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Config: cfg, Profile: prof}
 	eng := cluster.Eng
-	trainingDone := false
-	eng.Go("trainer", func(p *sim.Proc) {
-		r.initializeParameters(p)
-		for i := 0; i < cfg.Warmup; i++ {
-			r.runIteration(p)
-		}
-		res.MeasureStart = p.Now()
-		for i := 0; i < cfg.Iterations; i++ {
-			if cfg.Trace && i == cfg.Iterations-1 {
-				r.tr = trace.New()
-			}
-			if i == cfg.Iterations-1 {
-				res.LastIterStart = p.Now()
-			}
-			r.runIteration(p)
-			if i == cfg.Iterations-1 {
-				res.LastIterEnd = p.Now()
-			}
-			if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-				r.writeCheckpoint(p)
-			}
-		}
-		res.MeasureEnd = p.Now()
-		trainingDone = true
-	})
-	// Background housekeeping (dataloader staging, logging): a steady trickle
-	// on DRAM, PCIe and xGMI, emitted in one-second paced slices until the
-	// training process finishes.
-	eng.Go("housekeeping", func(p *sim.Proc) {
-		var batch []*fabric.Flow
-		for !trainingDone {
-			slice := sim.Second
-			sec := slice.ToSeconds()
-			batch = batch[:0]
-			for n := 0; n < cfg.Nodes; n++ {
-				for s := 0; s < topology.SocketsPerNode; s++ {
-					batch = append(batch, &fabric.Flow{
-						Name:      "bg/dram",
-						Path:      []*fabric.Link{cluster.DRAMLink(n, s)},
-						Bytes:     bgDRAMPerSocket * sec,
-						RateLimit: bgDRAMPerSocket,
-					})
-				}
-				for gi := 0; gi < topology.GPUsPerNode; gi++ {
-					g := topology.GPU{Node: n, Index: gi}
-					batch = append(batch, &fabric.Flow{
-						Name:      "bg/pcie",
-						Path:      []*fabric.Link{cluster.PCIeGPULink(g), cluster.DRAMLink(n, g.Socket())},
-						Bytes:     bgPCIePerGPU * sec,
-						RateLimit: bgPCIePerGPU,
-					})
-				}
-				batch = append(batch, &fabric.Flow{
-					Name:      "bg/xgmi",
-					Path:      []*fabric.Link{cluster.XGMILink(n)},
-					Bytes:     bgXGMIPerNode * sec,
-					RateLimit: bgXGMIPerNode,
-				})
-			}
-			cluster.Net.StartFlows(batch, nil)
-			p.Sleep(slice)
-		}
-	})
-	cluster.Eng.Run()
-	if n := cluster.Eng.LiveProcs(); n != 0 {
-		return nil, fmt.Errorf("train: simulation deadlocked with %d live processes", n)
+	t := &trainer{r: r, res: res}
+	t.resume = t.run
+	hk := &housekeeper{r: r, t: t}
+	hk.resume = hk.run
+	eng.Schedule(0, t.resume)
+	eng.Schedule(0, hk.resume)
+	eng.Run()
+	if !t.done || !hk.done {
+		return nil, fmt.Errorf("train: simulation deadlocked before the trainer and housekeeping machines reached their end")
 	}
 	cluster.Net.Quiesce()
 
@@ -290,11 +232,152 @@ func Run(cfg Config) (*Result, error) {
 // and the stress/bench harnesses).
 func (r *Runner) Cluster() *topology.Cluster { return r.cluster }
 
+// ---- the run's machines ----
+
+// trainStage is where a trainer resumes: the stage its last blocking step
+// hands over to.
+type trainStage int
+
+const (
+	trainStart    trainStage = iota // issue the start-up collective
+	trainIterate                    // start the next iteration, or end
+	trainIterated                   // an iteration finished
+	trainStaged                     // checkpoint weights reached host memory
+	trainTraced                     // a traced span (kind from t0) finished
+)
+
+// trainer drives a testbed run: a callback state machine over start-up,
+// Warmup+Iterations compiled-schedule replays and the checkpoint writes
+// between measured iterations. A step that takes virtual time hands resume
+// to its completion and returns; an iteration that completes inline
+// continues in the loop.
+type trainer struct {
+	r      *Runner
+	res    *Result
+	stage  trainStage
+	iter   int        // iterations started, warm-up included
+	kind   trace.Kind // the blocking step's span kind, if traced
+	t0     sim.Time   // start of that span
+	done   bool       // reached the end of training
+	resume func()     // run, bound once
+}
+
+// run continues the run from its stage until a step blocks or training
+// ends.
+func (t *trainer) run() {
+	r, res := t.r, t.res
+	cfg, eng := &r.cfg, r.cluster.Eng
+	warm, iters := max(0, cfg.Warmup), max(0, cfg.Iterations)
+	for {
+		switch t.stage {
+		case trainStart:
+			t.stage = trainIterate
+			if op, rings, ok := r.startupCollective(); ok {
+				t.stage, t.kind, t.t0 = trainTraced, schedule.TraceKind(op), eng.Now()
+				r.world.StartRings(op, r.paramBytes, 0, rings, t.resume)
+				return
+			}
+		case trainIterate:
+			i := t.iter - warm // measured iteration index
+			if i == 0 {
+				res.MeasureStart = eng.Now()
+			}
+			if i == iters {
+				res.MeasureEnd = eng.Now()
+				t.done = true
+				return
+			}
+			if i >= 0 && i == iters-1 {
+				if cfg.Trace {
+					r.tr = trace.New()
+				}
+				res.LastIterStart = eng.Now()
+			}
+			t.stage = trainIterated
+			if !r.replay(t.resume) {
+				return
+			}
+		case trainIterated:
+			i := t.iter - warm
+			t.iter++
+			t.stage = trainIterate
+			if i >= 0 && i == iters-1 {
+				res.LastIterEnd = eng.Now()
+			}
+			if i >= 0 && cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
+				// Each rank stages its shard of the FP16 weights to host
+				// memory, then writes its slice of model states.
+				t.stage = trainStaged
+				r.startRankFlows(trace.OffloadCopy, r.offloadCopyFlows(r.paramBytes/float64(cfg.WorldSize())), t.resume)
+				return
+			}
+		case trainStaged:
+			t.stage, t.kind, t.t0 = trainTraced, trace.NVMeIO, eng.Now()
+			r.writeStates(t.resume)
+			return
+		case trainTraced:
+			r.traceAll(t.kind, t.t0, eng.Now())
+			t.stage = trainIterate
+		}
+	}
+}
+
+// housekeeper is the background housekeeping machine (dataloader staging,
+// logging): a steady trickle on DRAM, PCIe and xGMI, emitted in one-second
+// paced slices until training ends.
+type housekeeper struct {
+	r      *Runner
+	t      *trainer
+	batch  []*fabric.Flow
+	done   bool   // saw training end
+	resume func() // run, bound once
+}
+
+// run emits one slice and sleeps through it, or ends once training has.
+func (h *housekeeper) run() {
+	if h.t.done {
+		h.done = true
+		return
+	}
+	cluster, nodes := h.r.cluster, h.r.cfg.Nodes
+	slice := sim.Second
+	sec := slice.ToSeconds()
+	batch := h.batch[:0]
+	for n := 0; n < nodes; n++ {
+		for s := 0; s < topology.SocketsPerNode; s++ {
+			batch = append(batch, &fabric.Flow{
+				Name:      "bg/dram",
+				Path:      []*fabric.Link{cluster.DRAMLink(n, s)},
+				Bytes:     bgDRAMPerSocket * sec,
+				RateLimit: bgDRAMPerSocket,
+			})
+		}
+		for gi := 0; gi < topology.GPUsPerNode; gi++ {
+			g := topology.GPU{Node: n, Index: gi}
+			batch = append(batch, &fabric.Flow{
+				Name:      "bg/pcie",
+				Path:      []*fabric.Link{cluster.PCIeGPULink(g), cluster.DRAMLink(n, g.Socket())},
+				Bytes:     bgPCIePerGPU * sec,
+				RateLimit: bgPCIePerGPU,
+			})
+		}
+		batch = append(batch, &fabric.Flow{
+			Name:      "bg/xgmi",
+			Path:      []*fabric.Link{cluster.XGMILink(n)},
+			Bytes:     bgXGMIPerNode * sec,
+			RateLimit: bgXGMIPerNode,
+		})
+	}
+	h.batch = batch
+	cluster.Net.StartFlows(batch, nil)
+	cluster.Eng.Schedule(slice, h.resume)
+}
+
 // ---- start-up and checkpoint building blocks ----
 
 // Training iterations run as compiled schedules (compile.go, executor.go);
-// the blocking helpers below serve the work outside them: parameter
-// initialization before warm-up and checkpoint writes between iterations.
+// the helpers below serve the work outside them: parameter initialization
+// before warm-up and checkpoint writes between iterations.
 
 // traceAll records one span on every rank's timeline. These spans carry no
 // iteration phase: they fall outside the compiled iteration program.
@@ -305,15 +388,6 @@ func (r *Runner) traceAll(kind trace.Kind, start, end sim.Time) {
 	for rank := 0; rank < r.cfg.WorldSize(); rank++ {
 		r.tr.Add(rank, kind, start, end)
 	}
-}
-
-// syncCollective runs a collective on the world group, blocking the
-// schedule (exposed communication). rings selects the NCCL channel count:
-// 2 for fused framework collectives, 1 for DeepSpeed's partitioned phases.
-func (r *Runner) syncCollective(p *sim.Proc, op collective.Op, payload float64, rings int) {
-	start := p.Now()
-	p.Await(func(resume func()) { r.world.StartRings(op, payload, 0, rings, resume) })
-	r.traceAll(schedule.TraceKind(op), start, p.Now())
 }
 
 // eachGPU enumerates the cluster's GPUs with their global rank.
@@ -365,54 +439,42 @@ func (r *Runner) offloadCopyFlows(bytesPerRank float64) func(rank int, g topolog
 	}
 }
 
-// offloadCopy is the blocking form.
-func (r *Runner) offloadCopy(p *sim.Proc, bytesPerRank float64) {
-	p.Await(func(resume func()) {
-		r.startRankFlows(trace.OffloadCopy, r.offloadCopyFlows(bytesPerRank), resume)
-	})
-}
-
-// writeCheckpoint persists the full training state to the scratch volume:
-// each rank stages its shard of the FP16 weights to host memory and writes
-// its 16Ψ/N-byte slice of model states (FP32 master weights, momentum,
-// variance, FP16 weights) to NVMe — the save path of a real DeepSpeed job.
-func (r *Runner) writeCheckpoint(p *sim.Proc) {
-	world := float64(r.cfg.WorldSize())
-	r.offloadCopy(p, r.paramBytes/world) // weights down to host staging
-	stateBytes := 16 * r.psi / world
-	t0 := p.Now()
-	p.Await(func(resume func()) {
-		remaining := r.cfg.WorldSize()
-		r.eachGPU(func(rank int, g topology.GPU) {
-			r.ckptVol.IO(g.Socket(), stateBytes, true, func() {
-				remaining--
-				if remaining == 0 {
-					resume()
-				}
-			})
+// writeStates writes each rank's 16Ψ/N-byte slice of model states (FP32
+// master weights, momentum, variance, FP16 weights) to the scratch volume —
+// the save path of a real DeepSpeed job, after the weights have been staged
+// to host memory — and invokes done when every write lands.
+func (r *Runner) writeStates(done func()) {
+	stateBytes := 16 * r.psi / float64(r.cfg.WorldSize())
+	remaining := r.cfg.WorldSize()
+	r.eachGPU(func(rank int, g topology.GPU) {
+		r.ckptVol.IO(g.Socket(), stateBytes, true, func() {
+			remaining--
+			if remaining == 0 {
+				done()
+			}
 		})
 	})
-	r.traceAll(trace.NVMeIO, t0, p.Now())
 }
 
-// initializeParameters models job start-up: rank 0 materializes the weights
+// startupCollective models job start-up: rank 0 materializes the weights
 // and replicates them — a broadcast of the FP16 parameters for replicated
 // strategies (PyTorch DDP broadcasts module buffers at construction;
 // DeepSpeed does the same for ZeRO-1/2), or a scatter of each shard for
-// partitioned parameters. This precedes the warm-up iterations and therefore
-// never pollutes measured statistics, but it exercises the start-up path the
-// way a real launcher does.
-func (r *Runner) initializeParameters(p *sim.Proc) {
+// partitioned parameters, which moves a ring reduce-scatter's volume. It
+// returns the collective over the parameters and its NCCL channel count (2
+// for fused framework collectives, 1 for DeepSpeed's partitioned phases),
+// or ok == false when each model-parallel rank loads its own slice
+// (Megatron). Start-up precedes the warm-up iterations and therefore never
+// pollutes measured statistics, but it exercises the start-up path the way
+// a real launcher does.
+func (r *Runner) startupCollective() (op collective.Op, rings int, ok bool) {
 	switch {
 	case r.cfg.Strategy == Megatron:
-		// Each model-parallel rank loads its own slice; no broadcast.
-		return
+		return 0, 0, false
 	case r.prof.ParamShards > 1:
-		// Sharded parameters: rank 0 scatters shards (ring reduce-scatter
-		// volume equivalent).
-		r.syncCollective(p, collective.ReduceScatter, r.paramBytes, 1)
+		return collective.ReduceScatter, 1, true
 	default:
-		r.syncCollective(p, collective.Broadcast, r.paramBytes, 2)
+		return collective.Broadcast, 2, true
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -317,43 +316,37 @@ func TestSerializeCommRewrite(t *testing.T) {
 	}
 }
 
-// steadyIterAllocs measures heap allocations per iteration once the schedule
-// executor's pools are warm. The huge telemetry window keeps sample-series
-// growth out of the measurement.
-func steadyIterAllocs(tb testing.TB, cfg Config) float64 {
+// steadyReplayer builds cfg's runner, runs its start-up collective and four
+// iterations (compiling the schedule and warming every pool), and returns a
+// function that replays one more iteration and drains the engine. The huge
+// telemetry window keeps sample-series growth out of the measurement.
+func steadyReplayer(tb testing.TB, cfg Config) func() {
 	cfg.Window = 1 << 40
 	r, err := newRunner(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const measured = 8
-	var mallocs uint64
-	r.cluster.Eng.Go("alloc-probe", func(p *sim.Proc) {
-		r.initializeParameters(p)
-		for i := 0; i < 4; i++ {
-			r.runIteration(p) // compile the schedule, warm every pool
+	eng := r.cluster.Eng
+	nop := func() {}
+	if op, rings, ok := r.startupCollective(); ok {
+		r.world.StartRings(op, r.paramBytes, 0, rings, nop)
+		eng.Run()
+	}
+	iterate := func() {
+		if !r.replay(nop) {
+			eng.Run()
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < measured; i++ {
-			r.runIteration(p)
-		}
-		runtime.ReadMemStats(&m1)
-		mallocs = m1.Mallocs - m0.Mallocs
-	})
-	r.cluster.Eng.Run()
-	return float64(mallocs) / measured
+	}
+	for i := 0; i < 4; i++ {
+		iterate()
+	}
+	return iterate
 }
 
 // TestScheduleReplayAllocFree pins the tentpole's zero-allocation claim:
 // steady-state schedule replay must not allocate, for the richest pipelines
 // the compiler emits.
 func TestScheduleReplayAllocFree(t *testing.T) {
-	// runtime.MemStats is process-wide: at GOMAXPROCS > 1 the runtime's own
-	// work (a sudog for the proc↔engine channel handoff after the goroutine
-	// changes Ps, the background scavenger's timer) can land inside the
-	// window. Pin it to 1, as testing.AllocsPerRun does.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := model.NewGPT(8)
 	for _, c := range []struct {
 		name string
@@ -365,7 +358,7 @@ func TestScheduleReplayAllocFree(t *testing.T) {
 			TensorParallel: 4, PipelineParallel: 2}},
 		{"zero2-cpu", Config{Strategy: ZeRO2, Offload: memory.CPUOffload, Model: g}},
 	} {
-		if got := steadyIterAllocs(t, c.cfg); got != 0 {
+		if got := testing.AllocsPerRun(8, steadyReplayer(t, c.cfg)); got != 0 {
 			t.Errorf("%s: steady-state schedule replay allocates %v allocs/iteration, want 0", c.name, got)
 		}
 	}
@@ -377,21 +370,10 @@ func TestScheduleReplayAllocFree(t *testing.T) {
 // richest schedule. Its allocs/op is pinned at zero by
 // TestScheduleReplayAllocFree.
 func BenchmarkScheduleReplaySteady(b *testing.B) {
-	cfg := Config{Strategy: ZeRO3, Model: model.NewGPT(8), Nodes: 2, Window: 1 << 40}
-	r, err := newRunner(cfg)
-	if err != nil {
-		b.Fatal(err)
+	iterate := steadyReplayer(b, Config{Strategy: ZeRO3, Model: model.NewGPT(8), Nodes: 2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		iterate()
 	}
-	r.cluster.Eng.Go("bench", func(p *sim.Proc) {
-		r.initializeParameters(p)
-		for i := 0; i < 4; i++ {
-			r.runIteration(p)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.runIteration(p)
-		}
-	})
-	r.cluster.Eng.Run()
 }
