@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target in fuzz-smoke; CI's nightly job raises it.
 FUZZTIME ?= 10s
 
-.PHONY: check test build vet fmt lint lint-baseline lint-report race fuzz-smoke bench serve-smoke clean
+.PHONY: check test build vet fmt lint lint-baseline lint-report race repeat fuzz-smoke bench serve-smoke clean
 
 ## check: the full correctness gate — gofmt, vet, build, the simlint
 ## determinism & invariant analysis, the race-enabled test suite, and a short
@@ -44,6 +44,12 @@ test:
 ## runner and the train run-cache are the concurrency hot spots).
 race:
 	$(GO) test -race ./...
+
+## repeat: the suite twice per test in shuffled order, so a test that leans
+## on state an earlier test or repetition left behind (process-global
+## caches, pooled handles) fails here.
+repeat:
+	$(GO) test -count=2 -shuffle=on ./...
 
 ## fuzz-smoke: run every fuzz target in internal/fabric, internal/topology
 ## and internal/model for FUZZTIME each.

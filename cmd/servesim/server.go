@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -119,14 +120,27 @@ func (req *scenarioRequest) resolveModel(cfg train.Config) (model.GPT, error) {
 	return model.NewGPT(maxLayers), nil
 }
 
-// decode parses the request body, enforcing POST.
-func decode(w http.ResponseWriter, r *http.Request, req *scenarioRequest) bool {
+// maxBodyBytes caps a request body. The largest bodies are /serve's inline
+// traces, ~60 bytes per arrival ({"at_ns":…,"prompt_tokens":…,
+// "decode_tokens":…}), so 1 MiB admits a trace of about 17,000 arrivals,
+// over 30 times the largest workload the benchmark catalogue generates (512
+// requests). Every /run and /sweep body is a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decode parses the request body into req, enforcing POST and
+// maxBodyBytes: a body over the cap is answered 413.
+func decode(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), code)
 		return false
 	}
 	return true
@@ -340,12 +354,7 @@ func (req *serveRequest) config() (serve.Config, error) {
 // harness diffs.
 func (s *server) handleServe(w http.ResponseWriter, r *http.Request) {
 	var req serveRequest
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return
 	}
 	cfg, err := req.config()

@@ -281,27 +281,61 @@ func TestBadRequests(t *testing.T) {
 // TestSweepRejectsUnbuildableTopo: a pod size that overflows the pod count
 // would panic inside a sweep worker goroutine, where net/http cannot recover
 // it, taking the whole daemon down; a radix below 3 would hang the
-// port-count model. Both must be answered with a 4xx, and the daemon must
-// keep answering afterwards.
+// port-count model, and an oversubscription past topology.MaxDCOversub would
+// stretch virtual time until the run hangs. Each must be answered with a 4xx
+// by /run and /sweep, and the daemon must keep answering afterwards.
 func TestSweepRejectsUnbuildableTopo(t *testing.T) {
 	ts := httptest.NewServer(newServer(2))
 	defer ts.Close()
 	for _, topo := range []string{
 		"fat-tree:nodes=8,pod=9223372036854775807",
 		"fat-tree:nodes=8,radix=2",
+		"fat-tree:nodes=16,oversub=1000000000",
 	} {
-		body := fmt.Sprintf(`{"strategy":"zero3","topo":%q,"sizes":"1,2","iterations":1,"warmup":1}`, topo)
-		if code, resp := post(t, ts, "/sweep", body); code < 400 || code >= 500 {
-			t.Errorf("POST /sweep topo %s = %d, want 4xx (%s)", topo, code, resp)
+		body := fmt.Sprintf(`{"strategy":"zero3","topo":%q,"algo":"2level","sizes":"1,2","iterations":2,"warmup":1}`, topo)
+		for _, path := range []string{"/run", "/sweep"} {
+			if code, resp := post(t, ts, path, body); code < 400 || code >= 500 {
+				t.Errorf("POST %s topo %s = %d, want 4xx (%s)", path, topo, code, resp)
+			}
 		}
 	}
+	checkHealthy(t, ts)
+}
+
+// TestOversizedBodyRejected: a body past maxBodyBytes is answered 413 on
+// every POST endpoint, before any simulation, and the daemon keeps
+// answering. The body is one valid JSON value (a long inline trace), so only
+// the cap can reject it.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := httptest.NewServer(newServer(1))
+	defer ts.Close()
+	var b strings.Builder
+	b.WriteString(`{"arrival":"trace","trace":[`)
+	for i := 0; b.Len() <= maxBodyBytes; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"at_ns":%d,"prompt_tokens":512,"decode_tokens":64}`, i*1000000)
+	}
+	b.WriteString(`]}`)
+	for _, path := range []string{"/run", "/sweep", "/serve"} {
+		if code, resp := post(t, ts, path, b.String()); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413 (%.200s)", path, b.Len(), code, resp)
+		}
+	}
+	checkHealthy(t, ts)
+}
+
+// checkHealthy fails the test unless /healthz answers 200.
+func checkHealthy(t *testing.T, ts *httptest.Server) {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz after rejected sweeps = %d, want 200", resp.StatusCode)
+		t.Errorf("healthz after rejected requests = %d, want 200", resp.StatusCode)
 	}
 }
 

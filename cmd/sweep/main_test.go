@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"llmbw/internal/model"
 	"llmbw/internal/runner"
@@ -160,6 +164,31 @@ func runSweep(t *testing.T, args ...string) []byte {
 		t.Fatalf("sweep %v: %v\n%s", args, err, stderr.Bytes())
 	}
 	return out
+}
+
+// TestOversubBoundFailsFast: an oversubscription past
+// topology.MaxDCOversub is a validation error, reported within a second.
+// Unbounded, this command's virtual time grew linearly with the ratio and
+// the run hung.
+func TestOversubBoundFailsFast(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-json", "-parallel", "1", "-iterations", "2", "-strategy", "zero3",
+		"-topo", "fat-tree:nodes=16,oversub=1000000000", "-algo", "2level", "-sizes", "1")
+	cmd.Env = append(os.Environ(), "LLMBW_RUN_SWEEP=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ctx.Err() != nil {
+		t.Fatal("sweep still running after 1 s")
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("sweep exited with %v, want a validation failure; stdout:\n%s", err, out)
+	}
+	if !strings.Contains(stderr.String(), "oversubscription") {
+		t.Errorf("stderr %q names no oversubscription error", stderr.String())
+	}
 }
 
 // TestCPUProfileFlag: -cpuprofile writes a non-empty profile and leaves

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"llmbw/internal/sim"
+	"llmbw/internal/telemetry"
 )
 
 // Flow is a data transfer of a fixed byte volume over a path of links. Its
@@ -85,6 +86,12 @@ type Network struct {
 	// finish tolerance — advance brought it there, or it was admitted that
 	// small — and gates retireFinished's registry walk.
 	mayFinish bool
+
+	// grid holds the link telemetry, made when the first link is bound;
+	// register binds a link's counter as a column the first time a flow
+	// crosses it. Every link a network carries samples with one window, as
+	// every cluster builder gives all its links the same one.
+	grid *telemetry.Grid
 
 	// Reusable scratch for reshare: the component work-lists double as the
 	// BFS queue/visited set, finished collects flows to retire before
@@ -209,12 +216,26 @@ func (n *Network) register(f *Flow) {
 	n.active = append(n.active, f) //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
 	f.pos = f.pos[:0]
 	for _, l := range f.Path {
+		if !l.counter.Bound() {
+			n.bind(&l.counter)
+		}
 		f.pos = append(f.pos, int32(len(l.active))) //lint:allow steady-alloc — reset to [:0] above: backing survives across iterations
 		l.active = append(l.active, f)              //lint:allow steady-alloc — retire truncates, not nils: the registry's backing reaches steady capacity
 	}
 	if f.remaining <= 1e-6 {
 		n.mayFinish = true
 	}
+}
+
+// bind makes c a column of the network's telemetry grid. It runs once per
+// link a network ever carries, like a plan compile.
+//
+//lint:cold
+func (n *Network) bind(c *telemetry.Counter) {
+	if n.grid == nil {
+		n.grid = telemetry.NewGrid(c.Window())
+	}
+	n.grid.Bind(c)
 }
 
 // SetCapacity changes a link's capacity mid-simulation (e.g. an NVMe write
@@ -235,7 +256,9 @@ func (n *Network) SetCapacity(l *Link, capacity float64) {
 }
 
 // advance credits bytes moved since the last rate change to flows and link
-// telemetry, up to the current virtual time.
+// telemetry, up to the current virtual time. The interval is split into
+// telemetry windows once, when the first flow turns out to have moved bytes,
+// and every (flow, link) pair is credited over that split.
 func (n *Network) advance() {
 	now := n.eng.Now()
 	dt := now - n.lastAt
@@ -248,6 +271,7 @@ func (n *Network) advance() {
 	}
 	n.nextValid = false
 	sec := dt.ToSeconds()
+	split := false
 	for _, f := range n.active {
 		moved := f.rate * sec
 		if moved > f.remaining {
@@ -258,8 +282,12 @@ func (n *Network) advance() {
 			n.mayFinish = true
 		}
 		if moved > 0 {
+			if !split {
+				n.grid.Split(n.lastAt, now)
+				split = true
+			}
 			for _, l := range f.Path {
-				l.counter.Add(n.lastAt, now, moved*l.CountWeight)
+				l.counter.Credit(moved * l.CountWeight)
 			}
 		}
 	}

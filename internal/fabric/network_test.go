@@ -150,6 +150,40 @@ func TestCountWeightDoublesTelemetry(t *testing.T) {
 	}
 }
 
+// TestAdvanceCreditsLiveRowsAllocFree: once every link is a column of the
+// network's telemetry grid and the current window has its row, advancing
+// time inside that window credits every (flow, link) pair in place.
+func TestAdvanceCreditsLiveRowsAllocFree(t *testing.T) {
+	eng := sim.New()
+	net := NewNetwork(eng)
+	links := make([]*Link, 8)
+	for i := range links {
+		links[i] = link("l", 10) // default 1 s telemetry window
+	}
+	flows := make([]*Flow, 24)
+	restart := make([]func(), len(flows))
+	for i := range flows {
+		i := i
+		flows[i] = &Flow{Path: []*Link{links[i%8], links[(i+3)%8]}, Bytes: 1e6 + 1e4*float64(i%5)}
+		restart[i] = func() { net.StartFlow(flows[i], restart[i]) }
+		net.StartFlow(flows[i], restart[i])
+	}
+	end := eng.RunUntil(100 * sim.Millisecond) // bind every link, make window 0's row
+	allocs := testing.AllocsPerRun(50, func() {
+		end += sim.Millisecond // 151 ms in all: every advance stays in window 0
+		eng.RunUntil(end)
+	})
+	if allocs != 0 {
+		t.Errorf("advancing inside a live telemetry window allocates %v times per ms, want 0", allocs)
+	}
+	net.Quiesce()
+	for _, l := range links {
+		if l.Counter().Total() == 0 || len(l.Counter().Series(end).Rates) != 1 {
+			t.Fatalf("link recorded %v bytes over %d windows, want bytes in one window", l.Counter().Total(), len(l.Counter().Series(end).Rates))
+		}
+	}
+}
+
 func TestTransferBlocksProcess(t *testing.T) {
 	eng := sim.New()
 	net := NewNetwork(eng)

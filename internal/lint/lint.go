@@ -368,7 +368,7 @@ func DefaultConfig() Config {
 			"llmbw/internal/sim", "llmbw/internal/fabric",
 			"llmbw/internal/collective", "llmbw/internal/train",
 			"llmbw/internal/scenario", "llmbw/internal/schedule",
-			"llmbw/internal/serve",
+			"llmbw/internal/serve", "llmbw/internal/telemetry",
 		}},
 		// Conservative PDES merge order and handoff wire hops rely on
 		// strictly positive lookahead; a zero reaching Connect or NewHandoff

@@ -7,6 +7,13 @@
 // counters; all report aggregate bidirectional traffic per interconnect. We
 // mirror that convention: a Counter accumulates bytes into fixed virtual-time
 // windows, and Stats are computed over per-window rates.
+//
+// Counters that record together share one window-major Grid: row w holds
+// window w's bytes, one column per bound counter. A network binds a link's
+// counter as a column the first time it carries a flow over the link and
+// splits each advanced interval into windows once for all of them, so a
+// window costs one row allocation however many links it counts. A counter
+// that records on its own (NewCounter, then Add) is the one-column case.
 package telemetry
 
 import (
@@ -21,18 +28,20 @@ import (
 const DefaultWindow = sim.Second
 
 // Counter accumulates transferred bytes into fixed-duration windows of
-// virtual time. It is not safe for concurrent use; the simulation is
-// single-threaded by construction.
+// virtual time. Its buckets are one column of a Grid, bound on first use. It
+// is not safe for concurrent use; the simulation is single-threaded by
+// construction.
 type Counter struct {
 	Name    string
 	window  sim.Time
-	buckets []float64 // bytes per window
 	total   float64
 	lastEnd sim.Time // latest time any bytes were recorded up to
+	grid    *Grid    // nil until bound; then the counter is column col
+	col     int
 }
 
-// NewCounter returns a counter with the given sampling window. A zero or
-// negative window falls back to DefaultWindow.
+// NewCounter returns an unbound counter with the given sampling window. A
+// zero or negative window falls back to DefaultWindow.
 func NewCounter(name string, window sim.Time) *Counter {
 	if window <= 0 {
 		window = DefaultWindow
@@ -46,64 +55,50 @@ func (c *Counter) Window() sim.Time { return c.window }
 // Total returns the cumulative bytes recorded.
 func (c *Counter) Total() float64 { return c.total }
 
+// Bound reports whether the counter is a column of a grid yet.
+func (c *Counter) Bound() bool { return c.grid != nil }
+
 // Add records bytes transferred uniformly over the interval [from, to). Zero
-// and point intervals attribute all bytes to the window containing from.
+// and point intervals attribute all bytes to the window containing from. An
+// unbound counter becomes the one column of its own grid.
 func (c *Counter) Add(from, to sim.Time, bytes float64) {
-	if bytes < 0 {
-		panic(fmt.Sprintf("telemetry: negative bytes %f on %s", bytes, c.Name))
-	}
 	if to < from {
 		panic(fmt.Sprintf("telemetry: inverted interval [%v,%v) on %s", from, to, c.Name))
 	}
+	if c.grid == nil {
+		NewGrid(c.window).Bind(c)
+	}
+	c.grid.Split(from, to)
+	c.Credit(bytes)
+}
+
+// Credit records bytes transferred uniformly over the interval of the last
+// Split of the counter's grid; the counter must be bound. Each window's
+// share is bytes × (the window's part of the interval) / (the interval's
+// length), computed in that order, so a bucket sums exactly what
+// per-interval arithmetic would have put there.
+func (c *Counter) Credit(bytes float64) {
+	if bytes < 0 {
+		panic(fmt.Sprintf("telemetry: negative bytes %f on %s", bytes, c.Name))
+	}
+	g := c.grid
+	if g.to > c.lastEnd {
+		c.lastEnd = g.to
+	}
 	if bytes == 0 {
-		if to > c.lastEnd {
-			c.lastEnd = to
-		}
 		return
 	}
 	c.total += bytes
-	if to > c.lastEnd {
-		c.lastEnd = to
-	}
-	first := int(from / c.window)
-	c.grow(int(to/c.window) + 1)
-	if to == from {
-		c.buckets[first] += bytes
+	w := g.first
+	g.rows[w][c.col] += bytes * g.head / g.span
+	if w == g.last {
 		return
 	}
-	span := float64(to - from)
-	for w := first; sim.Time(w)*c.window < to; w++ {
-		ws := sim.Time(w) * c.window
-		we := ws + c.window
-		s, e := maxTime(ws, from), minTime(we, to)
-		if e > s {
-			c.buckets[w] += bytes * float64(e-s) / span
-		}
+	whole := float64(g.window)
+	for w++; w < g.last; w++ {
+		g.rows[w][c.col] += bytes * whole / g.span
 	}
-}
-
-// grow extends the buckets to n windows in one step. Outgrowing the
-// capacity costs one allocation however many windows it reveals; the
-// capacity doubles until n fits, as appends double a small slice, so the
-// windows that follow find slack instead of reallocating again. Revealed
-// slots within capacity are cleared: Reset truncates without clearing.
-func (c *Counter) grow(n int) {
-	old := len(c.buckets)
-	if n <= old {
-		return
-	}
-	if n > cap(c.buckets) {
-		size := max(2*cap(c.buckets), 1)
-		for size < n {
-			size *= 2
-		}
-		b := make([]float64, n, size)
-		copy(b, c.buckets)
-		c.buckets = b
-		return
-	}
-	c.buckets = c.buckets[:n]
-	clear(c.buckets[old:])
+	g.rows[w][c.col] += bytes * g.tail / g.span
 }
 
 // Series returns the per-window bandwidth in bytes/second covering [0, end).
@@ -142,33 +137,122 @@ func (c *Counter) SeriesRange(start, end sim.Time) Series {
 	out := make([]float64, n)
 	wsec := c.window.ToSeconds()
 	for i := 0; i < n; i++ {
-		if w := first + i; w < len(c.buckets) {
-			out[i] = c.buckets[w] / wsec
-		}
+		out[i] = c.bucket(first+i) / wsec
 	}
 	return Series{Window: c.window, Rates: out}
+}
+
+// bucket returns the bytes recorded in window w; a window without a row, or
+// whose row predates the counter's column, recorded none.
+func (c *Counter) bucket(w int) float64 {
+	if g := c.grid; g != nil && w < len(g.rows) && c.col < len(g.rows[w]) {
+		return g.rows[w][c.col]
+	}
+	return 0
 }
 
 // Stats computes bandwidth statistics over [0, end).
 func (c *Counter) Stats(end sim.Time) Stats { return c.Series(end).Stats() }
 
-// Reset clears all recorded data.
+// Reset clears all recorded data. A bound counter keeps its column, zeroed in
+// every row.
 func (c *Counter) Reset() {
-	c.buckets = c.buckets[:0]
+	if g := c.grid; g != nil {
+		for _, r := range g.rows {
+			if c.col < len(r) {
+				r[c.col] = 0
+			}
+		}
+	}
 	c.total = 0
 	c.lastEnd = 0
 }
 
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
+// Grid is the window-major byte table of a set of counters sharing one
+// sampling window: row w holds window w's bytes, one column per bound
+// counter. A row is allocated the first time its window receives bytes, as
+// wide as the columns bound by then; a column bound later widens a row only
+// when it records into that row's window. Windows that receive no bytes have
+// no row, and a counter never bound has no column.
+//
+// Recording is split in two: Split divides an interval into windows once
+// and makes sure each window's row spans every bound column, then Credit
+// apportions one counter's bytes over that split. A network credits every
+// link of every flow it advanced over one Split.
+type Grid struct {
+	window sim.Time
+	cols   int
+	rows   [][]float64
+
+	// The current split: windows first..last of an interval ending at to,
+	// span long. head and tail are the first and last windows' parts of it
+	// (head is the whole span when first == last).
+	first, last int
+	to          sim.Time
+	span        float64
+	head, tail  float64
 }
 
-func minTime(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
+// NewGrid returns an empty grid. A zero or negative window falls back to
+// DefaultWindow.
+func NewGrid(window sim.Time) *Grid {
+	if window <= 0 {
+		window = DefaultWindow
 	}
-	return b
+	return &Grid{window: window}
+}
+
+// Bind makes c the grid's next column. c must be unbound and sample with
+// the grid's window.
+func (g *Grid) Bind(c *Counter) {
+	if c.grid != nil {
+		panic(fmt.Sprintf("telemetry: counter %s is already bound", c.Name))
+	}
+	if c.window != g.window {
+		panic(fmt.Sprintf("telemetry: counter %s samples every %v, grid every %v", c.Name, c.window, g.window))
+	}
+	c.grid, c.col = g, g.cols
+	g.cols++
+}
+
+// Split prepares credits over [from, to), from <= to: it computes which
+// windows the interval covers and how much of it each holds, and widens each
+// covered window's row to every bound column. A point interval (from == to)
+// puts everything in the window containing from; its span and head are 1,
+// so a credit lands unscaled.
+func (g *Grid) Split(from, to sim.Time) {
+	g.to = to
+	g.first = int(from / g.window)
+	if to == from {
+		g.last, g.span, g.head = g.first, 1, 1
+	} else {
+		g.last = int((to - 1) / g.window) // the last window starting before to
+		g.span = float64(to - from)
+		g.head = float64(min(sim.Time(g.first+1)*g.window, to) - from)
+		g.tail = float64(to - sim.Time(g.last)*g.window)
+	}
+	for w := g.first; w <= g.last; w++ {
+		g.widen(w)
+	}
+}
+
+// widen makes row w span every bound column. Past NewGrid, it is the only
+// code that allocates: a new row is made exactly as wide as the bound
+// columns, and a row that existed when more columns were bound regrows by
+// doubling, so binding k columns into one window copies O(k) slots, not
+// O(k·cols).
+func (g *Grid) widen(w int) {
+	for len(g.rows) <= w {
+		g.rows = append(g.rows, nil) //lint:allow steady-alloc — the row index grows once per window of virtual time, doubling as appends do
+	}
+	r := g.rows[w]
+	if len(r) == g.cols {
+		return
+	}
+	if cap(r) < g.cols {
+		r = append(make([]float64, 0, max(2*cap(r), g.cols)), r...) //lint:allow steady-alloc — a row is made once per window that receives bytes, and regrows only when a column is bound inside its window
+	}
+	// Rows only lengthen and Reset zeroes in place, so slots past len(r)
+	// have never been written.
+	g.rows[w] = r[:g.cols]
 }

@@ -75,9 +75,8 @@ func TestCounterReset(t *testing.T) {
 	}
 }
 
-// TestCounterResetThenLaterWindow: Reset truncates the buckets without
-// clearing them, so a later Add that grows the counter back within its
-// capacity must read 0 in every window before its own.
+// TestCounterResetThenLaterWindow: Reset keeps the counter's rows, so a
+// later Add into one of them must read 0 in every window before its own.
 func TestCounterResetThenLaterWindow(t *testing.T) {
 	c := NewCounter("x", sim.Second)
 	c.Add(0, 4*sim.Second, 4e9)

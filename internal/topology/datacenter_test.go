@@ -123,7 +123,7 @@ func TestParseTopoSpecRoundTripAndErrors(t *testing.T) {
 		"rail-only:nodes=16,pod=4,rails=2",
 		"dragonfly:nodes=32,pod=8,rails=4",
 		"fat-tree:nodes=16,pod=4,rails=4,oversub=2,radix=32",
-		"rail-only:nodes=64,pod=4,rails=4,oversub=123456789",
+		fmt.Sprintf("rail-only:nodes=64,pod=4,rails=4,oversub=%d", MaxDCOversub),
 	} {
 		cfg, err := ParseTopoSpec(spec)
 		if err != nil {
@@ -152,7 +152,10 @@ func TestParseTopoSpecRoundTripAndErrors(t *testing.T) {
 		fmt.Sprintf("fat-tree:nodes=8,pod=%d", MaxDCNodes+1),
 		"fat-tree:nodes=8,radix=2",
 		"rail-only:nodes=8,radix=1",
-		// Past 2^53 an oversubscription has no exact float64 to render back.
+		// Oversubscription past MaxDCOversub models no buildable fabric and
+		// stretches virtual time linearly; the bound covers every kind.
+		fmt.Sprintf("fat-tree:nodes=8,oversub=%d", MaxDCOversub+1),
+		"rail-only:nodes=64,pod=4,rails=4,oversub=123456789",
 		"fat-tree:nodes=8,oversub=9223372036854775807",
 	} {
 		if _, err := ParseTopoSpec(bad); err == nil {

@@ -56,12 +56,7 @@ func ParseTopoSpec(spec string) (DCConfig, error) {
 			case "rails":
 				cfg.Rails = n
 			case "oversub":
-				if n > 1<<53 {
-					// Past 2^53 float64 rounds, and Spec could not render
-					// the value back as an integer this parser accepts.
-					return DCConfig{}, fmt.Errorf("topology: spec field %q above 2^53", kv)
-				}
-				cfg.Oversub = float64(n)
+				cfg.Oversub = float64(n) // Validate caps it at MaxDCOversub
 			case "radix":
 				cfg.Radix = n
 			default:
