@@ -2,13 +2,14 @@ GO ?= go
 # FUZZTIME bounds each fuzz target in fuzz-smoke; CI's nightly job raises it.
 FUZZTIME ?= 10s
 
-.PHONY: check test build vet fmt lint lint-baseline lint-report race repeat fuzz-smoke bench serve-smoke clean
+.PHONY: check test build vet fmt lint lint-baseline lint-report race repeat fuzz-smoke bench bench-module serve-smoke clean
 
 ## check: the full correctness gate — gofmt, vet, build, the simlint
-## determinism & invariant analysis, the race-enabled test suite, and a short
+## determinism & invariant analysis, the race-enabled test suite, a short
 ## fuzz smoke of the fabric fair-share property suite, the -topo parser and
-## the model-size list parser.
-check: fmt vet build lint race fuzz-smoke
+## the model-size list parser, and the benchmark module built against the
+## checkout.
+check: fmt vet build lint race fuzz-smoke bench-module
 
 build:
 	$(GO) build ./...
@@ -60,6 +61,13 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
 	done
+
+## bench-module: vet and test the benchmark module (_bench/, its own module
+## that ./... skips) against this checkout, so deleting or changing an
+## exported symbol it calls fails here rather than only when the benchmark
+## runs.
+bench-module:
+	cd _bench && $(GO) vet . && $(GO) test .
 
 ## bench: run the hot-path benchmarks and record machine-readable results —
 ## the substrate micro-benchmarks in BENCH_fabric.json, the repeated-

@@ -56,7 +56,7 @@ func BenchmarkServeWarmRun(b *testing.B) {
 }
 
 // BenchmarkServeWarmSweep: a whole warm sweep (three sizes sharing the
-// fabric blueprint and plan shapes) answered from the cache.
+// fabric blueprint) answered from the cache.
 func BenchmarkServeWarmSweep(b *testing.B) {
 	ts := httptest.NewServer(newServer(2))
 	defer ts.Close()

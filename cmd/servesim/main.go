@@ -1,10 +1,10 @@
 // Command servesim is the long-lived what-if service: an HTTP/JSON daemon
 // answering single-run, sweep and serving queries from the warm-artifact
 // scenario cache. The batch CLIs (bwchar, sweep, whatif) pay the cold cost of
-// every configuration they touch and then exit, discarding the compiled
-// topologies, collective plans, schedules and memoized results; servesim
-// keeps them hot, so a repeated or near-identical query costs a cache probe
-// instead of a simulation.
+// every configuration they touch and then exit, discarding the topology
+// blueprints, compiled schedules and memoized results; servesim keeps them
+// hot, so a repeated or near-identical query costs a cache probe instead of
+// a simulation.
 //
 // Endpoints:
 //
@@ -18,9 +18,9 @@
 //	              → an inference-serving scenario's latency/goodput summary;
 //	              with ?log=1, the per-request NDJSON log instead.
 //	GET  /stats   → each cache tier's cap, entries, hits, misses and
-//	              evictions — collective.shapes, serve.results,
-//	              topology.blueprints, train.results, train.schedules — and
-//	              the concurrency bound.
+//	              evictions — serve.results, topology.blueprints,
+//	              train.results, train.schedules — and the concurrency
+//	              bound.
 //	GET  /healthz → 200 "ok" while serving, 503 "draining" once shutdown
 //	              has begun.
 //

@@ -241,7 +241,7 @@ func TestStatsProbe(t *testing.T) {
 			t.Errorf("stats tiers unsorted: %q before %q", stats.Caches[i-1].Name, c.Name)
 		}
 	}
-	for _, want := range []string{"train.results", "serve.results", "train.schedules", "topology.blueprints", "collective.shapes"} {
+	for _, want := range []string{"train.results", "serve.results", "train.schedules", "topology.blueprints"} {
 		if !tiers[want] {
 			t.Errorf("stats missing tier %q (have %v)", want, tiers)
 		}

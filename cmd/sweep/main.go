@@ -16,10 +16,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"llmbw/internal/collective"
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
 	"llmbw/internal/report"
 	"llmbw/internal/runner"
+	"llmbw/internal/topology"
 	"llmbw/internal/train"
 )
 
@@ -193,8 +195,9 @@ func startMemProfile(path string) (write func(), err error) {
 
 // applyTopo points the sweep at a generated datacenter fabric. The spec's
 // node count wins unless -nodes was given explicitly (train.Config then
-// verifies the two agree); -algo without -topo is an error here rather than a
-// confusing train.Validate failure per sweep point.
+// verifies the two agree). A bad spec or algorithm, or -algo without -topo,
+// is an error here, before any point is simulated, rather than a failure per
+// sweep point or none at all when no point fits.
 func applyTopo(base *train.Config, topo, algo string, nodesSet bool) error {
 	if topo == "" {
 		if algo != "" {
@@ -204,6 +207,16 @@ func applyTopo(base *train.Config, topo, algo string, nodesSet bool) error {
 	}
 	base.Topo = topo
 	base.Algo = algo
+	if base.IsDC() {
+		if _, err := topology.ParseTopoSpec(topo); err != nil {
+			return err
+		}
+	}
+	if algo != "" {
+		if _, err := collective.ParseAlgo(algo); err != nil {
+			return err
+		}
+	}
 	if !nodesSet {
 		base.Nodes = 0 // adopt the spec's node count
 	}

@@ -166,6 +166,40 @@ func runSweep(t *testing.T, args ...string) []byte {
 	return out
 }
 
+// TestBadTopoOrAlgoExitsBeforeSimulating: a bad -topo spec or -algo name is
+// a usage error (exit 2, nothing on stdout) whether or not any size fits,
+// while a valid spec with a size nothing fits still prints an empty array.
+func TestBadTopoOrAlgoExitsBeforeSimulating(t *testing.T) {
+	run := func(args ...string) ([]byte, int) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "LLMBW_RUN_SWEEP=1")
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return out, exit.ExitCode()
+		}
+		if err != nil {
+			t.Fatalf("sweep %v: %v", args, err)
+		}
+		return out, 0
+	}
+	for _, tc := range [][]string{
+		{"-topo", "mesh:nodes=16", "-algo", "2level", "-sizes", "100000"},
+		{"-topo", "fat-tree:nodes=16", "-algo", "warp", "-sizes", "100000"},
+		{"-topo", "mesh:nodes=16", "-algo", "2level", "-sizes", "1"},
+	} {
+		args := append([]string{"-json", "-parallel", "1", "-iterations", "1", "-strategy", "zero3"}, tc...)
+		if out, code := run(args...); code != 2 || len(out) != 0 {
+			t.Errorf("sweep %v: exit %d, stdout %q; want exit 2 and no output", tc, code, out)
+		}
+	}
+	setup := []string{"-json", "-parallel", "1", "-iterations", "3", "-strategy", "zero3",
+		"-topo", "fat-tree:nodes=1024", "-algo", "2level", "-shards", "2", "-sizes", "100000"}
+	if out, code := run(setup...); code != 0 || string(bytes.TrimSpace(out)) != "[]" {
+		t.Errorf("sweep %v: exit %d, stdout %q; want exit 0 and []", setup, code, out)
+	}
+}
+
 // TestOversubBoundFailsFast: an oversubscription past
 // topology.MaxDCOversub is a validation error, reported within a second.
 // Unbounded, this command's virtual time grew linearly with the ratio and

@@ -22,8 +22,6 @@ package collective
 import (
 	"fmt"
 
-	"llmbw/internal/fabric"
-	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
 
@@ -102,11 +100,10 @@ type Group struct {
 	crosses []bool           // hop i crosses the node boundary
 
 	// plans is the per-shape compiled-plan free list (see Plan); compiled
-	// and replays are its probes. hPool recycles released Handles.
+	// and replays are its probes.
 	plans    map[planKey][]*Plan
 	compiled int
 	replays  int64
-	hPool    []*Handle
 }
 
 // NewGroup builds a collective group over the given GPUs. The ring order is
@@ -142,12 +139,6 @@ func NewGroup(c *topology.Cluster, ranks []topology.GPU) *Group {
 	return g
 }
 
-// Size returns the number of ranks.
-func (g *Group) Size() int { return len(g.ranks) }
-
-// Ranks returns the group's GPUs in ring order.
-func (g *Group) Ranks() []topology.GPU { return g.ranks }
-
 // Start launches the collective and calls onDone (from engine context) when
 // it completes. Payload semantics: for AllReduce/Broadcast/Reduce it is the
 // tensor size; for AllGather/ReduceScatter it is the full (unsharded) size.
@@ -182,132 +173,6 @@ func (g *Group) StartRings(op Op, payload, hopRateLimit float64, rings int, onDo
 	}
 	p := g.acquirePlan(planKey{op: op, payload: payload, limit: hopRateLimit, rings: int8(rings)})
 	p.start(onDone)
-}
-
-// Handle tracks an asynchronous collective (or any deferred completion).
-// Handles from Group.NewHandle are pooled: the owner may return a finished
-// handle with Release, after which it must not be touched.
-type Handle struct {
-	done    bool
-	firing  bool // Fire is mid-iteration; defer any Release until it ends
-	release bool // Release was requested during Fire
-	pooled  bool // currently sitting in the owner's free list
-	waiters []func()
-	eng     *sim.Engine
-	owner   *Group // pool to Release into; nil for unpooled handles
-}
-
-// NewPendingHandle returns an unfired handle; callers complete it with Fire.
-// Used to chain operations that have not started yet (comm queues).
-//
-//lint:allow scratch-escape — unpooled constructor; the handle is owned by the caller
-func NewPendingHandle(eng *sim.Engine) *Handle { return &Handle{eng: eng} }
-
-// NewHandle returns an unfired handle drawn from the group's pool. The
-// caller completes it with Fire and, once no reference remains, may return
-// it with Release; a handle that is never released simply falls out of the
-// pool.
-//
-//lint:allow scratch-escape — pooled by design; Release documents the ownership contract
-func (g *Group) NewHandle() *Handle {
-	if k := len(g.hPool); k > 0 {
-		h := g.hPool[k-1]
-		g.hPool[k-1] = nil
-		g.hPool = g.hPool[:k-1]
-		h.pooled = false
-		return h
-	}
-	return &Handle{eng: g.cluster.Eng, owner: g} //lint:allow steady-alloc — pool miss: the handle joins the free list on Release
-}
-
-// Release returns a pooled handle to its owning group for reuse. Only the
-// code that obtained the handle from NewHandle may call it, after every
-// waiter has run and no other reference remains. Calling it from inside one
-// of the handle's own Fire callbacks is allowed: the return to the pool is
-// deferred until Fire finishes. Release is idempotent — a second call on an
-// already-released handle is a no-op rather than a double insertion that
-// would hand the same handle to two NewHandle callers. No-op for unpooled
-// handles.
-func (h *Handle) Release() {
-	if h.owner == nil || h.pooled {
-		return
-	}
-	if h.firing {
-		h.release = true
-		return
-	}
-	h.recycle()
-}
-
-func (h *Handle) recycle() {
-	h.done = false
-	h.pooled = true
-	h.waiters = h.waiters[:0]
-	h.owner.hPool = append(h.owner.hPool, h) //lint:allow steady-alloc — free-list push: capacity reaches steady state after the first iteration
-}
-
-// Fire marks the handle complete and runs registered callbacks. Must be
-// called at most once, from engine context.
-func (h *Handle) Fire() {
-	if h.done {
-		panic("collective: handle fired twice")
-	}
-	h.done = true
-	h.firing = true
-	ws := h.waiters
-	// Truncate rather than nil so a pooled handle keeps its waiter backing
-	// array across reuse. The firing flag keeps the array out of the pool
-	// while ws is iterated, so no new waiters can alias it.
-	h.waiters = h.waiters[:0]
-	for i := range ws {
-		ws[i]()
-	}
-	h.firing = false
-	if h.release {
-		h.release = false
-		h.recycle()
-	}
-}
-
-// Then registers fn to run (in engine context) once the handle completes;
-// immediately if it already has.
-func (h *Handle) Then(fn func()) {
-	if h.done {
-		h.eng.Schedule(0, fn)
-		return
-	}
-	h.waiters = append(h.waiters, fn) //lint:allow steady-alloc — waiter array is truncated, not nilled; its backing survives pooling
-}
-
-// StartAsync launches the collective and returns a Handle to wait on. The
-// handle is pooled; callers that are done with it may Release it.
-//
-//lint:allow scratch-escape — pooled handle hand-off; Release documents the contract
-func (g *Group) StartAsync(op Op, payload float64) *Handle {
-	h := g.NewHandle()
-	g.Start(op, payload, h.Fire)
-	return h
-}
-
-// Done reports completion.
-func (h *Handle) Done() bool { return h.done }
-
-// minRoCECapacity returns the smallest RoCE link capacity on a route, which
-// sets the attainable stream rate of a crossing hop.
-func minRoCECapacity(r topology.Route) float64 {
-	min := 0.0
-	for _, l := range r.Links {
-		if l.Class != fabric.RoCE {
-			continue
-		}
-		if min == 0 || l.Capacity() < min {
-			min = l.Capacity()
-		}
-	}
-	if min == 0 {
-		min = topology.RoCELinkBW
-	}
-	return min
 }
 
 // NodeMajorRanks returns the canonical ring order for a cluster: GPUs of

@@ -166,30 +166,6 @@ func TestRunBlocksDriverProcess(t *testing.T) {
 	}
 }
 
-func TestAsyncHandle(t *testing.T) {
-	c, g := singleNodeGroup(t)
-	var order []string
-	c.Eng.Schedule(0, func() {
-		h := g.StartAsync(AllReduce, 2e9)
-		order = append(order, "launched")
-		c.Eng.Schedule(sim.Millisecond, func() {
-			order = append(order, "slept")
-			h.Then(func() {
-				order = append(order, "waited")
-				if !h.Done() {
-					t.Error("handle not done when its waiter ran")
-				}
-				// A waiter registered on a done handle still runs.
-				h.Then(func() { order = append(order, "again") })
-			})
-		})
-	})
-	c.Eng.Run()
-	if len(order) != 4 || order[0] != "launched" || order[2] != "waited" || order[3] != "again" {
-		t.Errorf("order = %v", order)
-	}
-}
-
 func TestEmptyGroupPanics(t *testing.T) {
 	c := topology.New(topology.DefaultConfig(1))
 	defer func() {

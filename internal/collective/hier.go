@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"llmbw/internal/fabric"
-	"llmbw/internal/scenario"
 	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
@@ -161,7 +160,6 @@ type dcNode struct {
 	pre, post       fabric.Flow
 	hasPre, hasPost bool
 	routes          []dcRoute // outbound legs, one per rail
-	legName         []string  // per rail
 	legBytes        float64
 	expect          int // inbound legs per round
 	crossLat        sim.Time
@@ -294,123 +292,33 @@ func (g *DCGroup) StartNode(op Op, payload float64, node int, onDone func()) {
 	}
 }
 
-// hierShape is the cluster- and payload-independent part of a compiled
-// hierarchical plan: the ring's pipeline-fill latency and every rendered
-// flow and leg name. It is a pure function of (algo, op, topology spec) —
-// nothing in it references links, engines, capacities or the payload — so
-// one shape is shared read-only by every plan of that signature and cached
-// across runs. The phase volumes scale with the payload and are computed
-// per plan; binding to a live cluster uses the group's shared routes.
-type hierShape struct {
-	crossLat         sim.Time
-	preName, posName []string   // per node (nil when the phase is absent)
-	legName          [][]string // per node, per rail
-}
-
-// flatShape is the flat ring's portable part: the ring count, step latency
-// and flow names (in addLeg order: per node, rail 0 then rail 1 when
-// dual-ring).
-type flatShape struct {
-	rings   int
-	stepLat sim.Time
-	name    []string
-}
-
-// shapeCache is the collective tier of the warm-artifact store, keyed by
-// (algo|op|spec). Shapes are capacity- and payload-independent.
-var shapeCache = scenario.New("collective.shapes", 256)
-
-func makeHierShape(algo Algo, op Op, cfg topology.DCConfig) *hierShape {
-	n := cfg.Nodes
-	rails := cfg.Rails
-	gpus := topology.GPUsPerNode
-
-	sh := &hierShape{}
-	steps := Steps(op, n)
-	if algo == AlgoTwoLevel {
-		if o, ok := preOp(op); ok {
-			sh.preName = make([]string, n)
-			steps += Steps(o, gpus)
-		}
-		if o, ok := postOp(op); ok {
-			sh.posName = make([]string, n)
-			steps += Steps(o, gpus)
-		}
-	}
-	sh.crossLat = sim.Time(steps) * topology.LatNCCLStep
-	sh.legName = make([][]string, n)
-	for i := 0; i < n; i++ {
-		if sh.preName != nil {
-			sh.preName[i] = fmt.Sprintf("%s/%v/n%d/pre", algo, op, i)
-		}
-		if sh.posName != nil {
-			sh.posName[i] = fmt.Sprintf("%s/%v/n%d/post", algo, op, i)
-		}
-		legs := make([]string, rails)
-		for r := 0; r < rails; r++ {
-			legs[r] = fmt.Sprintf("%s/%v/n%d/r%d", algo, op, i, r)
-		}
-		sh.legName[i] = legs
-	}
-	return sh
-}
-
-func makeFlatShape(op Op, cfg topology.DCConfig) *flatShape {
-	n := cfg.Nodes
-	rings := 2
-	if cfg.Rails < 2 {
-		rings = 1
-	}
-	sh := &flatShape{
-		rings:   rings,
-		stepLat: sim.Time(Steps(op, n)) * topology.LatNCCLStep,
-	}
-	for i := 0; i < n; i++ {
-		sh.name = append(sh.name, fmt.Sprintf("flat/%v/n%d/r0", op, i))
-		if rings == 2 {
-			sh.name = append(sh.name, fmt.Sprintf("flat/%v/n%d/r1", op, i))
-		}
-	}
-	return sh
-}
-
-// shapeFor fetches (computing on first use) the portable shape of one plan
-// signature through the shape cache.
-func (g *DCGroup) shapeFor(op Op) any {
-	cfg := g.sc.Cfg
-	key := fmt.Sprintf("%v|%v|%s", g.algo, op, cfg.Spec())
-	v, _ := shapeCache.Do(key, func() (any, error) {
-		if g.algo == AlgoFlat {
-			return makeFlatShape(op, cfg), nil
-		}
-		return makeHierShape(g.algo, op, cfg), nil
-	})
-	return v
-}
-
 // compileHier builds the 2-level / multi-ring plan: per node, an optional
 // NVSwitch pre-flow, one outbound handoff leg per rail to the ring
 // successor, and an optional NVSwitch post-flow. Volumes are the textbook
 // ring costs: the cross-node phase carries WireBytesPerHop(op, N, V) per
 // node pair, striped evenly over the rails; 2-level adds the intra-node
-// reduce-scatter/all-gather phases on the payload. The latency and names
-// come from the cached shape and the routes from the group; this function
-// computes the volumes and binds the per-node records and closures.
+// reduce-scatter/all-gather phases on the payload, and their pipeline steps
+// to the ring's. The routes come from the group, and every flow is named
+// after a link the blueprint already named: a leg after its source NIC, a
+// phase after its node's NVSwitch.
 func (g *DCGroup) compileHier(op Op, payload float64) dcPlan {
 	sc := g.sc
 	n := sc.Nodes()
 	rails := sc.Cfg.Rails
-	sh := g.shapeFor(op).(*hierShape)
 	crossWire := WireBytesPerHop(op, n, payload) / float64(rails)
+	steps := Steps(op, n)
 	var preVol, postVol float64
 	if g.algo == AlgoTwoLevel {
 		if o, ok := preOp(op); ok {
 			preVol = WireBytesPerHop(o, topology.GPUsPerNode, payload)
+			steps += Steps(o, topology.GPUsPerNode)
 		}
 		if o, ok := postOp(op); ok {
 			postVol = WireBytesPerHop(o, topology.GPUsPerNode, payload)
+			steps += Steps(o, topology.GPUsPerNode)
 		}
 	}
+	crossLat := sim.Time(steps) * topology.LatNCCLStep
 
 	plan := dcPlan{nodes: make([]dcNode, n)}
 	for i := range plan.nodes {
@@ -420,20 +328,19 @@ func (g *DCGroup) compileHier(op Op, payload float64) dcPlan {
 		rec.net = grp.Net
 		rec.node = i
 		rec.routes = g.routes[i*rails : (i+1)*rails]
-		rec.legName = sh.legName[i]
 		rec.legBytes = crossWire
 		rec.expect = rails
-		rec.crossLat = sh.crossLat
+		rec.crossLat = crossLat
 		nv := g.nv[i : i+1 : i+1]
 		if preVol > 0 {
 			rec.hasPre = true
-			rec.pre.Name = sh.preName[i]
+			rec.pre.Name = nv[0].Name
 			rec.pre.Path = nv
 			rec.pre.Bytes = preVol
 		}
 		if postVol > 0 {
 			rec.hasPost = true
-			rec.post.Name = sh.posName[i]
+			rec.post.Name = nv[0].Name
 			rec.post.Path = nv
 			rec.post.Bytes = postVol
 		}
@@ -451,7 +358,7 @@ func (g *DCGroup) compileHier(op Op, payload float64) dcPlan {
 			rec.preDone = true
 			for r := range rec.routes {
 				rt := &rec.routes[r]
-				rt.h.SendPlanned(rec.legName[r], rec.legBytes, rt.extra, rt.srcCap, rt.dstCap, rt.srcPath, rt.dstPath, succLand)
+				rt.h.SendPlanned(rt.srcPath[0].Name, rec.legBytes, rt.extra, rt.srcCap, rt.dstCap, rt.srcPath, rt.dstPath, succLand)
 			}
 			rec.maybeCross()
 		}
@@ -489,12 +396,15 @@ func (rec *dcNode) maybeCross() {
 // 0, reverse on rail 1; a single-rail fabric gets one ring), each crossing
 // hop a fluid end-to-end flow over source NIC, trunks and destination NIC.
 // Completion is global — the fused collective finishes when the slowest hop
-// drains — with per-node callbacks fired in node-index order.
+// drains — with per-node callbacks fired in node-index order. Each flow is
+// named after its source NIC.
 func (g *DCGroup) compileFlat(op Op, payload float64) dcPlan {
 	sc := g.sc
 	n := sc.Nodes()
-	sh := g.shapeFor(op).(*flatShape)
-	rings := sh.rings
+	rings := 2
+	if sc.Cfg.Rails < 2 {
+		rings = 1
+	}
 	wire := WireBytesPerHop(op, n, payload) / float64(rings)
 
 	grp := sc.Groups[0]
@@ -515,10 +425,7 @@ func (g *DCGroup) compileFlat(op Op, payload float64) dcPlan {
 		}
 		join.paths = append(join.paths, path)
 		join.caps = append(join.caps, fabric.NewPathCap(grp.Net, DCStreamFraction, path))
-		join.flows = append(join.flows, fabric.Flow{
-			Name:  sh.name[len(join.flows)],
-			Bytes: wire,
-		})
+		join.flows = append(join.flows, fabric.Flow{Name: path[0].Name, Bytes: wire})
 	}
 	for i := 0; i < n; i++ {
 		addLeg(i, (i+1)%n, 0)
@@ -529,7 +436,7 @@ func (g *DCGroup) compileFlat(op Op, payload float64) dcPlan {
 	for j := range join.flows {
 		join.flows[j].Path = join.paths[j]
 	}
-	join.latency = sh.stepLat + maxExtra
+	join.latency = sim.Time(Steps(op, n))*topology.LatNCCLStep + maxExtra
 	join.flowCB = func() {
 		join.remaining--
 		if join.remaining == 0 {

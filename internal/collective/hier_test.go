@@ -202,30 +202,3 @@ func TestDCGroupGuards(t *testing.T) {
 		NewDCGroup(sc, AlgoFlat)
 	}()
 }
-
-// TestHandleDoubleReleaseIdempotent pins the pool-safety fix: releasing a
-// handle twice must not insert it into the pool twice (which would hand the
-// same handle to two NewHandle callers).
-func TestHandleDoubleReleaseIdempotent(t *testing.T) {
-	_, g := singleNodeGroup(t)
-	h := g.NewHandle()
-	h.Fire()
-	h.Release()
-	h.Release() // must be a no-op
-	h2 := g.NewHandle()
-	if h2 != h {
-		t.Fatal("first NewHandle should reuse the released handle")
-	}
-	h3 := g.NewHandle()
-	if h3 == h2 {
-		t.Error("double Release handed the same handle out twice")
-	}
-	// Release during Fire followed by a late duplicate Release: same contract.
-	h2.Then(func() { h2.Release() })
-	h2.Fire()
-	h2.Release()
-	a, b := g.NewHandle(), g.NewHandle()
-	if a == b {
-		t.Error("duplicate Release after fire-time release handed one handle out twice")
-	}
-}

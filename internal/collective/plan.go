@@ -18,13 +18,6 @@ type planKey struct {
 	rings   int8
 }
 
-// crossLeg records a node-boundary leg and its route so the plan can
-// recompute the leg's stream cap when link capacities change.
-type crossLeg struct {
-	flow  *fabric.Flow
-	route topology.Route
-}
-
 // Plan is a compiled collective: the flow records, hop paths, stream caps and
 // completion closures of one issue, built once and replayed by resetting byte
 // counters. A plan is checked out of its group's per-key free list while in
@@ -34,11 +27,12 @@ type Plan struct {
 	g     *Group
 	key   planKey
 	flows []*fabric.Flow
-	cross []crossLeg
+	// caps[i] is flows[i]'s node-crossing stream cap: the stream fraction
+	// times the least capacity of the leg's RoCE links, revalidated against
+	// the network's capacity epoch. nil for a leg inside a node.
+	caps []*fabric.PathCap
 
-	frac     float64  // effective cross-node stream fraction
-	latency  sim.Time // pipeline latency added after the last leg drains
-	capEpoch int64    // fabric capacity epoch the cross caps were computed at
+	latency sim.Time // pipeline latency added after the last leg drains
 
 	total     int
 	remaining int
@@ -48,22 +42,13 @@ type Plan struct {
 }
 
 // acquirePlan returns a ready-to-start plan for the key: a pooled one when
-// the free list has one (refreshing its stream caps if link capacities
-// changed since it was compiled), a freshly compiled one otherwise.
+// the free list has one, a freshly compiled one otherwise.
 func (g *Group) acquirePlan(key planKey) *Plan {
 	free := g.plans[key]
 	if k := len(free); k > 0 {
 		p := free[k-1]
 		free[k-1] = nil
 		g.plans[key] = free[:k-1]
-		if ce := g.cluster.Net.CapacityEpoch(); ce != p.capEpoch {
-			// A link capacity changed since compile (e.g. whatif's degraded
-			// NIC); recompute the cross-leg caps exactly as a fresh compile
-			// would. In-flight plans keep their caps: flows already started
-			// keep their limits.
-			p.applyCrossCaps()
-			p.capEpoch = ce
-		}
 		g.replays++
 		return p
 	}
@@ -104,7 +89,7 @@ func (g *Group) Precompile(op Op, payload, hopRateLimit float64, rings int) {
 //
 //lint:cold
 func (g *Group) compilePlan(key planKey) *Plan {
-	p := &Plan{g: g, key: key, capEpoch: g.cluster.Net.CapacityEpoch()}
+	p := &Plan{g: g, key: key}
 	p.compileRings()
 	p.total = len(p.flows)
 	eng := g.cluster.Eng
@@ -126,23 +111,24 @@ func (g *Group) compilePlan(key planKey) *Plan {
 	return p
 }
 
-// start replays the plan: every flow's byte counter resets inside the batch
+// start replays the plan: each node-crossing leg's rate limit is the plan's
+// per-hop cap folded with the leg's stream cap as of now (flows already in
+// flight keep theirs), every flow's byte counter resets inside the batch
 // admission, and the shared leg-completion closure counts the legs back in.
 func (p *Plan) start(onDone func()) {
+	for i, c := range p.caps {
+		if c == nil {
+			continue
+		}
+		limit, crossCap := p.key.limit, c.Value()
+		if limit == 0 || limit > crossCap {
+			limit = crossCap
+		}
+		p.flows[i].RateLimit = limit
+	}
 	p.onDone = onDone
 	p.remaining = p.total
 	p.g.cluster.Net.StartFlows(p.flows, p.legDone)
-}
-
-// addLeg appends one leg flow; cross legs are indexed for stream-cap
-// (re)computation.
-func (p *Plan) addLeg(route topology.Route, name string, bytes float64, cross bool) {
-	f := route.Flow(name, bytes)
-	f.RateLimit = p.key.limit
-	p.flows = append(p.flows, f)
-	if cross {
-		p.cross = append(p.cross, crossLeg{flow: f, route: route})
-	}
 }
 
 // compileRings builds forward (and, for two rings, reverse) legs per hop in
@@ -153,9 +139,16 @@ func (p *Plan) compileRings() {
 	n := len(g.ranks)
 	wire := WireBytesPerHop(p.key.op, n, p.key.payload)
 	p.latency = sim.Time(Steps(p.key.op, n)) * topology.LatNCCLStep
-	p.frac = streamFraction(g.cluster, int(p.key.rings))
+	frac := streamFraction(g.cluster, int(p.key.rings))
 	leg := func(route topology.Route, bytes float64, cross bool) {
-		p.addLeg(route, fmt.Sprintf("%s/hop%d", p.key.op, len(p.flows)), bytes, cross)
+		f := route.Flow(fmt.Sprintf("%s/hop%d", p.key.op, len(p.flows)), bytes)
+		f.RateLimit = p.key.limit
+		var c *fabric.PathCap
+		if cross {
+			c = fabric.NewPathCap(g.cluster.Net, frac, roceLinks(route))
+		}
+		p.flows = append(p.flows, f)
+		p.caps = append(p.caps, c)
 	}
 	for i := range g.hops {
 		if p.key.rings == 2 {
@@ -165,20 +158,18 @@ func (p *Plan) compileRings() {
 			leg(g.hops[i], wire, g.crosses[i])
 		}
 	}
-	p.applyCrossCaps()
 }
 
-// applyCrossCaps sets every node-crossing leg's rate limit to the attainable
-// stream rate over its route, folded with the plan's per-hop cap.
-func (p *Plan) applyCrossCaps() {
-	for _, cl := range p.cross {
-		crossCap := p.frac * minRoCECapacity(cl.route)
-		limit := p.key.limit
-		if limit == 0 || limit > crossCap {
-			limit = crossCap
+// roceLinks returns a node-crossing route's RoCE links, whose least capacity
+// sets the leg's attainable stream rate.
+func roceLinks(r topology.Route) []*fabric.Link {
+	var out []*fabric.Link
+	for _, l := range r.Links {
+		if l.Class == fabric.RoCE {
+			out = append(out, l)
 		}
-		cl.flow.RateLimit = limit
 	}
+	return out
 }
 
 // streamFraction returns the effective cross-node stream fraction for a ring

@@ -53,6 +53,25 @@ func (g *Group) referenceStartRings(op Op, payload, hopRateLimit float64, rings 
 	}
 }
 
+// minRoCECapacity returns the smallest RoCE link capacity on a route, which
+// sets the attainable stream rate of a crossing hop. It is the reference's
+// own copy of the rule compiled plans apply through fabric.PathCap.
+func minRoCECapacity(r topology.Route) float64 {
+	min := 0.0
+	for _, l := range r.Links {
+		if l.Class != fabric.RoCE {
+			continue
+		}
+		if min == 0 || l.Capacity() < min {
+			min = l.Capacity()
+		}
+	}
+	if min == 0 {
+		min = topology.RoCELinkBW
+	}
+	return min
+}
+
 // issueSequenceTimes runs a fixed mix of collective issues — replays, a
 // single-ring shape, a rate-limited shape — back to back on a fresh cluster
 // and returns each completion time. compiled selects the production issue
@@ -187,6 +206,53 @@ func TestPlanRefreshesCapsOnCapacityChange(t *testing.T) {
 	if planned != direct {
 		t.Errorf("replay after SetCapacity finished at %v, reference at %v", planned, direct)
 	}
+
+	// In flight: 10 ms into one issue, a second issue of the shape starts
+	// (compiling a second plan) and at that same instant a RoCE link's
+	// capacity halves under both. Once both drain, a third issue replays a
+	// pooled plan whose caps predate the change. Flows already in flight
+	// keep their limits; every issue must complete when the reference's does.
+	const changeAt = 10 * sim.Millisecond
+	inFlight := func(compiled bool) []sim.Time {
+		c := topology.New(topology.DefaultConfig(2))
+		g := NewGroup(c, NodeMajorRanks(2, 4))
+		start := func(onDone func()) {
+			if compiled {
+				g.StartLimited(AllReduce, 2e9, 0, onDone)
+			} else {
+				g.referenceStartRings(AllReduce, 2e9, 0, 2, onDone)
+			}
+		}
+		var times []sim.Time
+		record := func() { times = append(times, c.Eng.Now()) }
+		start(record)
+		c.Eng.Schedule(changeAt, func() {
+			start(record)
+			l := c.LinksOfClass(fabric.RoCE, 0)[0]
+			c.Net.SetCapacity(l, l.Capacity()/2)
+		})
+		c.Eng.Run()
+		start(record)
+		c.Eng.Run()
+		if compiled {
+			if compiled, replays := g.PlanStats(); compiled != 2 || replays != 1 {
+				t.Errorf("in-flight change: compiled=%d replays=%d, want 2/1", compiled, replays)
+			}
+		}
+		return times
+	}
+	want, got := inFlight(false), inFlight(true)
+	if len(want) != 3 || want[0] <= changeAt {
+		t.Fatalf("reference completions %v: want three, the first after the change at %v", want, changeAt)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("plans completed %d issues, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("in-flight change, issue %d: plan finished at %v, reference at %v", i, got[i], want[i])
+		}
+	}
 }
 
 // TestPlanReplaySteadyStateZeroAlloc pins the tentpole allocation contract:
@@ -212,59 +278,5 @@ func TestPlanReplaySteadyStateZeroAlloc(t *testing.T) {
 		if compiled, replays := g.PlanStats(); compiled != 1 || replays < 50 {
 			t.Errorf("nodes=%d: compiled=%d replays=%d, want one plan replayed throughout", nodes, compiled, replays)
 		}
-	}
-}
-
-// TestHandlePoolReuse: a released handle is handed back by the next NewHandle
-// call with its state reset.
-func TestHandlePoolReuse(t *testing.T) {
-	c, g := singleNodeGroup(t)
-	h := g.StartAsync(AllReduce, 1e9)
-	c.Eng.Run()
-	if !h.Done() {
-		t.Fatal("collective did not complete")
-	}
-	h.Release()
-	h2 := g.NewHandle()
-	if h2 != h {
-		t.Error("NewHandle did not reuse the released handle")
-	}
-	if h2.Done() {
-		t.Error("recycled handle still marked done")
-	}
-	fired := false
-	h2.Then(func() { fired = true })
-	h2.Fire()
-	if !fired {
-		t.Error("recycled handle dropped its waiter")
-	}
-}
-
-// TestHandleReleaseDuringFire: releasing a handle from one of its own Fire
-// callbacks (the comm-queue auto-release pattern) must defer the recycle
-// until the callback sweep finishes.
-func TestHandleReleaseDuringFire(t *testing.T) {
-	_, g := singleNodeGroup(t)
-	h := g.NewHandle()
-	order := []string{}
-	h.Then(func() { h.Release(); order = append(order, "release") })
-	h.Then(func() { order = append(order, "second") })
-	h.Fire()
-	if len(order) != 2 || order[1] != "second" {
-		t.Fatalf("waiters ran as %v; release during Fire must not cut the sweep short", order)
-	}
-	if got := g.NewHandle(); got != h {
-		t.Error("handle released during Fire was not recycled")
-	}
-}
-
-// TestUnpooledHandleReleaseNoOp: handles from NewPendingHandle have no owner;
-// Release must be a safe no-op.
-func TestUnpooledHandleReleaseNoOp(t *testing.T) {
-	h := NewPendingHandle(sim.New())
-	h.Fire()
-	h.Release() // must not panic or pool the handle anywhere
-	if !h.Done() {
-		t.Error("unpooled handle lost its done state on Release")
 	}
 }

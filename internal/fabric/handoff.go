@@ -159,10 +159,10 @@ func (h *Handoff) PoolSize() int {
 
 // PathCap is a capacity-epoch-fenced minimum-capacity cache: scale ×
 // min(capacity along path), recomputed only when the owning network's
-// capacity epoch moves — the same revalidation discipline compiled collective
-// plans use for their cached stream caps. Hierarchical collective plans hold
-// one per cross leg so replay picks up mid-run SetCapacity without
-// recomputing route minima on every send. Value must be called from the
+// capacity epoch moves. Every compiled collective plan holds one per
+// node-crossing leg (over the testbed route's RoCE links, or a datacenter
+// route's half), so replay picks up a mid-run SetCapacity without
+// recomputing route minima on every issue. Value must be called from the
 // owning network's shard context.
 type PathCap struct {
 	scale float64

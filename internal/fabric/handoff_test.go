@@ -267,7 +267,7 @@ func TestHandoffPoolChurnUnderCapEpochBumps(t *testing.T) {
 	if count != 20 {
 		t.Fatalf("completed %d transfers, want 20", count)
 	}
-	if e := r.nets[0].CapacityEpoch(); e < 2 {
+	if e := r.nets[0].capEpoch; e < 2 {
 		t.Fatalf("src capacity epoch = %d, want >= 2", e)
 	}
 	if got := r.fwd.PoolSize(); got != 1 {

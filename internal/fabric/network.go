@@ -27,9 +27,6 @@ type Flow struct {
 	pos       []int32 // per-path-element position in the link's active list
 }
 
-// Remaining returns the bytes left to transfer.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Rate returns the currently assigned rate in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
 
@@ -60,8 +57,8 @@ type Network struct {
 	// so a superseded projection leaves no stale firing behind.
 	timer *sim.Timer
 
-	// capEpoch counts SetCapacity calls; callers that cache link-derived
-	// rate limits (compiled collective plans) revalidate against it.
+	// capEpoch counts SetCapacity calls; a PathCap caching a route's least
+	// capacity revalidates against it.
 	capEpoch int64
 
 	// fillPasses counts progressive-filling rate recomputations — the
@@ -120,12 +117,6 @@ func (n *Network) ActiveFlows() int { return len(n.active) }
 // one per StartFlow/SetCapacity/completion otherwise. It is a diagnostic
 // probe for tests and instrumentation.
 func (n *Network) Reshares() int64 { return n.fillPasses }
-
-// CapacityEpoch returns a counter that increments on every effective
-// SetCapacity call. Callers caching values derived from link capacities
-// (e.g. compiled collective plans caching cross-node stream caps) compare
-// epochs to decide whether to refresh.
-func (n *Network) CapacityEpoch() int64 { return n.capEpoch }
 
 // StartFlow begins transferring f and invokes onDone (from engine context)
 // when the last byte arrives. Zero-byte flows complete after one scheduler

@@ -307,29 +307,27 @@ func DefaultConfig() Config {
 		// bit-equality is intended).
 		"float-eq": {},
 		// The fabric recycles handoff transfer records, the collective
-		// layer recycles compiled plans and handles, and the schedule
-		// executor recycles flow sets and stream issue records; handing a
+		// layer recycles compiled plans, and the schedule executor
+		// recycles flow sets and re-arms stream issue records; handing a
 		// pooled pointer across the exported API would let callers observe
-		// reuse. Each type name binds in its own package's
-		// scope only. The deliberate hand-offs (pooled Handles with a
-		// documented Release contract) carry allow comments.
+		// reuse. Each type name binds in its own package's scope only.
 		"scratch-escape": {
 			Include: []string{
 				"llmbw/internal/fabric", "llmbw/internal/collective",
 				"llmbw/internal/schedule", "llmbw/internal/serve",
 			},
 			Options: map[string]string{
-				"types": "Plan,Handle,flowSet,asyncIssue,handoffXfer",
+				"types": "Plan,flowSet,asyncIssue,handoffXfer",
 			},
 		},
 		// Only internal/runner is allowed to coordinate real goroutines;
 		// everywhere else a write to captured state from a go closure is a
 		// data race waiting for -race to find it.
 		"goroutine-shared-write": {Exclude: []string{"llmbw/internal/runner"}},
-		// Pooled handles, compiled plans, and handoff transfers must come
-		// back to their free lists exactly once. Acquire roots are the pool
-		// pop sites; release roots name which argument goes back (receiver
-		// is index 0). Summaries extend both sets through callees.
+		// Compiled plans and handoff transfers must come back to their
+		// free lists exactly once. Acquire roots are the pool pop sites;
+		// release roots name which argument goes back (receiver is index
+		// 0). Summaries extend both sets through callees.
 		"handle-release": {
 			Include: []string{
 				"llmbw/internal/collective", "llmbw/internal/fabric",
@@ -337,17 +335,15 @@ func DefaultConfig() Config {
 				"llmbw/internal/serve",
 			},
 			Options: map[string]string{
-				"acquire": "llmbw/internal/collective.Group.NewHandle," +
-					"llmbw/internal/collective.Group.acquirePlan," +
+				"acquire": "llmbw/internal/collective.Group.acquirePlan," +
 					"llmbw/internal/fabric.Handoff.acquire",
-				"release": "llmbw/internal/collective.Handle.Release@0," +
-					"llmbw/internal/collective.Group.releasePlan@1," +
+				"release": "llmbw/internal/collective.Group.releasePlan@1," +
 					"llmbw/internal/fabric.Handoff.recycle@1",
 			},
 		},
-		// Capacity-derived values (link capacities, route minima, cached
-		// path caps) go stale when SetCapacity bumps the epoch; reusing one
-		// without recomputing reintroduces the bug the capEpoch fence fixed.
+		// Capacity-derived values (link capacities, cached path caps) go
+		// stale when SetCapacity bumps the epoch; reusing one without
+		// recomputing reintroduces the bug the PathCap fence fixes.
 		"capepoch-guard": {
 			Include: []string{
 				"llmbw/internal/collective", "llmbw/internal/fabric",
@@ -356,9 +352,7 @@ func DefaultConfig() Config {
 			Options: map[string]string{
 				"bump": "llmbw/internal/fabric.Network.SetCapacity",
 				"derived": "llmbw/internal/fabric.Link.Capacity," +
-					"llmbw/internal/fabric.Network.CapacityEpoch," +
-					"llmbw/internal/fabric.PathCap.Value," +
-					"llmbw/internal/collective.minRoCECapacity",
+					"llmbw/internal/fabric.PathCap.Value",
 			},
 		},
 		// The replay hot paths are pinned at 0 allocs/op; //lint:steady

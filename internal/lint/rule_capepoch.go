@@ -8,7 +8,7 @@ import (
 
 // capepochGuard flags capacity-derived state reused after the capacity
 // epoch may have been bumped. Locals assigned from a derived call
-// (Link.Capacity, minRoCECapacity, a cached PathCap value — configured via
+// (Link.Capacity, a cached PathCap value — configured via
 // the "derived" option plus summary propagation) become stale the moment a
 // statement can reach a bump root (Network.SetCapacity, again propagated
 // through callees); any later read of a stale local is a finding until the
@@ -320,5 +320,5 @@ func (e *epochTracker) checkIdent(ex ast.Expr) {
 		return
 	}
 	e.reported[id.Pos()] = true
-	e.c.Reportf(id.Pos(), "%s was computed from link capacities before a capacity-epoch bump; recompute it (or revalidate via CapacityEpoch) before reuse", id.Name)
+	e.c.Reportf(id.Pos(), "%s was computed from link capacities before a capacity-epoch bump; recompute it (or read it through a PathCap) before reuse", id.Name)
 }

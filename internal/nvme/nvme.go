@@ -143,9 +143,6 @@ func (d *Drive) IO(socket int, bytes float64, write bool, onDone func()) {
 	startSustained()
 }
 
-// MediaLink exposes the media resource (for telemetry assertions).
-func (d *Drive) MediaLink() *fabric.Link { return d.media }
-
 // Volume is a storage target a rank writes to: one drive or an mdadm RAID0
 // stripe set. RAID0 splits every transfer evenly across members, which is
 // exactly what makes socket-spanning volumes costly (half the stripes cross

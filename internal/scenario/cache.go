@@ -56,7 +56,7 @@ var registry struct {
 // New builds a cache tier and registers it for Snapshot. capacity bounds the
 // entry count (evicting least-recently-used beyond it); capacity <= 0 means
 // unbounded — reserve that for artifact tiers whose key space is small and
-// closed (e.g. plan shapes of one process's sweep).
+// closed.
 func New(name string, capacity int) *Cache {
 	c := &Cache{name: name, cap: capacity, entries: make(map[string]*entry)}
 	registry.mu.Lock()

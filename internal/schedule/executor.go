@@ -13,9 +13,10 @@ import (
 // state machine: it executes ops inline until one blocks, parks the program
 // counter, and resumes from the blocking op's completion event. Every
 // callback is bound once at construction and every per-iteration resource
-// (flow sets, stream issue records, collective handles and plans) is pooled,
-// so steady-state replay allocates nothing, and every replay issues the same
-// engine events in the same order.
+// (flow sets, collective plans) is pooled, so steady-state replay allocates
+// nothing, and every replay issues the same engine events in the same order.
+// Stream dependencies need no pool: each OpEnqueue owns one record that is
+// also its collective's latch, re-armed on every issue.
 
 // Env binds a schedule to one live run. A Schedule is pure data; everything
 // tied to a cluster instance — the engine, the fabric, the communicator, the
@@ -54,15 +55,15 @@ type NVMeTarget struct {
 }
 
 // execQueue is the runtime state of one virtual NCCL stream: the schedule's
-// QueueSpec plus the live tail handle, reused across iterations.
+// QueueSpec plus the latch of the stream's last issued collective.
 type execQueue struct {
-	limit    float64
-	rings    int
-	tail     *collective.Handle
-	tailAuto bool
+	limit float64
+	rings int
+	tail  *asyncIssue
 }
 
-// opState holds the pooled runtime resources of one schedule op.
+// opState holds the runtime resources of one schedule op: its flow-set
+// pool, its stream latch or its NVMe targets.
 type opState struct {
 	pool  *flowPool
 	issue *asyncIssue
@@ -80,7 +81,7 @@ type Executor struct {
 	state []opState
 
 	queues []execQueue
-	slots  []*collective.Handle // retained stream handles by schedule slot
+	slots  []*asyncIssue // retained stream latches by schedule slot
 
 	pc        int
 	inline    bool     // Run is on the stack: completion returns to it
@@ -108,7 +109,7 @@ func NewExecutor(env Env, s *Schedule) *Executor {
 	for i, q := range s.Queues {
 		ex.queues[i] = execQueue{limit: q.Limit, rings: int(q.Rings)}
 	}
-	ex.slots = make([]*collective.Handle, s.Slots)
+	ex.slots = make([]*asyncIssue, s.Slots)
 	ex.blockDoneFn = ex.blockDone
 	ex.waitHopFn = ex.waitHop
 	ex.waitResumeFn = ex.waitResume
@@ -153,16 +154,10 @@ func NewExecutor(env Env, s *Schedule) *Executor {
 func (ex *Executor) Run(done func()) bool {
 	ex.finish = done
 	ex.pc = 0
+	// Every stream ends waited or drained, so each restarts empty: its
+	// first collective starts inline.
 	for i := range ex.queues {
-		q := &ex.queues[i]
-		if q.tail != nil {
-			// The previous iteration's stream tail has fired and all its
-			// waiters have run (every stream ends waited or drained); return
-			// it to the pool before the stream restarts — pool bookkeeping
-			// only, invisible to the event stream.
-			q.tail.Release()
-			q.tail, q.tailAuto = nil, false
-		}
+		ex.queues[i].tail = nil
 	}
 	ex.inline = true
 	ex.step()
@@ -204,18 +199,15 @@ func (ex *Executor) step() {
 		case OpEnqueue:
 			ex.push(i)
 		case OpWaitSlot:
-			h := ex.slots[op.Slot]
-			if !h.Done() {
+			if is := ex.slots[op.Slot]; !is.done {
 				ex.cur = op
-				h.Then(ex.waitHopFn)
+				is.then(ex.waitHopFn)
 				return
 			}
-			ex.releaseSlot(op)
 		case OpBarrier:
-			q := &ex.queues[op.Queue]
-			if q.tail != nil && !q.tail.Done() {
+			if is := ex.queues[op.Queue].tail; is != nil && !is.done {
 				ex.cur = op
-				q.tail.Then(ex.waitHopFn)
+				is.then(ex.waitHopFn)
 				return
 			}
 		case OpXfer, OpRouteXfer:
@@ -265,9 +257,9 @@ func (ex *Executor) blockDone() {
 	ex.step()
 }
 
-// waitHop runs as a handle waiter and re-schedules the actual resume at +0:
-// a waiting program resumes one scheduler tick after its handle fires, behind
-// the events the handle's other waiters schedule at that instant.
+// waitHop runs as a latch waiter and re-schedules the actual resume at +0:
+// a waiting program resumes one scheduler tick after its latch fires, behind
+// the events the latch's other waiters schedule at that instant.
 //
 //lint:steady
 func (ex *Executor) waitHop() {
@@ -276,22 +268,8 @@ func (ex *Executor) waitHop() {
 
 //lint:steady
 func (ex *Executor) waitResume() {
-	if ex.cur.Kind == OpWaitSlot {
-		ex.releaseSlot(ex.cur)
-	}
 	ex.pc++
 	ex.step()
-}
-
-// releaseSlot returns a retained handle to the pool unless it is still the
-// stream tail (comm-queue release semantics: a live tail recycles when
-// superseded or at the next iteration's stream reset).
-func (ex *Executor) releaseSlot(op *Op) {
-	h := ex.slots[op.Slot]
-	ex.slots[op.Slot] = nil
-	if h != ex.queues[op.Queue].tail {
-		h.Release()
-	}
 }
 
 //lint:steady
@@ -316,46 +294,59 @@ func (ex *Executor) multiDone() {
 	ex.step()
 }
 
-// push replays comm-queue push for the op at index i: chain the collective
-// after the stream's current tail, releasing a superseded fire-and-forget
-// predecessor once it has ordered this start.
+// push replays comm-queue push for the op at index i: re-arm the op's latch
+// and chain its collective after the stream's current tail.
 func (ex *Executor) push(i int) {
 	op := &ex.s.Ops[i]
 	is := ex.state[i].issue
+	if !is.done {
+		panic(fmt.Sprintf("schedule: stream op %d re-issued before its collective fired", i))
+	}
+	is.done = false
 	q := &ex.queues[op.Queue]
-	is.h = ex.world.NewHandle()
-	is.prev, is.prevAuto = q.tail, q.tailAuto
-	if is.prev == nil {
+	if q.tail == nil {
 		is.start()
 	} else {
-		is.prev.Then(is.startFn)
+		q.tail.then(is.startFn)
 	}
-	q.tail, q.tailAuto = is.h, op.Slot < 0
+	q.tail = is
 	if op.Slot >= 0 {
-		ex.slots[op.Slot] = is.h
+		ex.slots[op.Slot] = is
 	}
 }
 
-// asyncIssue is the per-op reusable state of one stream collective: the
-// pooled handle, the predecessor edge, and the start/fire closures bound
-// once. One record per OpEnqueue suffices — an op issues at most once per
-// iteration and every stream drains before the iteration ends.
+// asyncIssue is the reusable record of one stream collective and its latch.
+// done is clear from push until the collective fires; waiters hold what runs
+// then, in registration order: the stream successor's start and at most one
+// program wait. One record per OpEnqueue suffices: an op issues at most once
+// per iteration and every stream drains before the iteration ends.
 type asyncIssue struct {
-	ex       *Executor
-	op       *Op
-	h        *collective.Handle
-	prev     *collective.Handle
-	prevAuto bool
-	t0       sim.Time
-	startFn  func()
-	fireFn   func()
+	ex      *Executor
+	op      *Op
+	t0      sim.Time
+	done    bool
+	waiters [2]func()
+	nw      int
+	startFn func()
+	fireFn  func()
 }
 
 func newAsyncIssue(ex *Executor, op *Op) *asyncIssue {
-	is := &asyncIssue{ex: ex, op: op}
+	is := &asyncIssue{ex: ex, op: op, done: true}
 	is.startFn = is.start
 	is.fireFn = is.fire
 	return is
+}
+
+// then registers fn to run when the collective fires. On a latch that has
+// already fired, fn runs one event later, at +0.
+func (is *asyncIssue) then(fn func()) {
+	if is.done {
+		is.ex.eng.Schedule(0, fn)
+		return
+	}
+	is.waiters[is.nw] = fn
+	is.nw++
 }
 
 //lint:steady
@@ -364,21 +355,19 @@ func (is *asyncIssue) start() {
 	q := &ex.queues[is.op.Queue]
 	is.t0 = ex.eng.Now()
 	ex.world.StartRings(is.op.Col, is.op.Payload, q.limit, q.rings, is.fireFn)
-	// prev has now served its last purpose (ordering this start); a
-	// fire-and-forget predecessor goes back to the pool.
-	if is.prevAuto {
-		is.prev.Release()
-	}
-	is.prev = nil
 }
 
 //lint:steady
 func (is *asyncIssue) fire() {
 	ex := is.ex
 	ex.env.TraceOp(is.op, is.t0, ex.eng.Now())
-	h := is.h
-	is.h = nil
-	h.Fire()
+	is.done = true
+	for i := 0; i < is.nw; i++ {
+		fn := is.waiters[i]
+		is.waiters[i] = nil
+		fn()
+	}
+	is.nw = 0
 }
 
 // ---- pooled flow sets ----

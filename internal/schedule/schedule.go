@@ -71,10 +71,10 @@ const (
 	// the Env's world group).
 	OpCollective
 	// OpEnqueue chains an asynchronous collective on a virtual NCCL stream
-	// (Op.Queue); Slot >= 0 retains the handle for a later OpWaitSlot.
+	// (Op.Queue); Slot >= 0 retains its latch for a later OpWaitSlot.
 	OpEnqueue
-	// OpWaitSlot blocks until the retained handle in Op.Slot fires, then
-	// returns it to the pool (unless it is still the stream tail).
+	// OpWaitSlot blocks until the collective whose latch Op.Slot retains
+	// has fired.
 	OpWaitSlot
 	// OpBarrier blocks until the stream's tail operation completes.
 	OpBarrier
@@ -117,7 +117,7 @@ type Op struct {
 	Limit   float64             // per-hop rate cap (exposed collectives)
 	Rings   int8                // NCCL ring count (exposed collectives)
 	Queue   int8                // stream index for OpEnqueue/OpWaitSlot/OpBarrier
-	Slot    int16               // retained-handle slot; -1 = fire-and-forget
+	Slot    int16               // latch slot OpEnqueue retains into, OpWaitSlot waits on; -1 = fire-and-forget
 	Write   bool                // OpNVMeIO direction
 	Dur     sim.Time            // OpCompute/OpOverhead/OpPacedFlows duration
 	Bytes   float64             // OpMemAlloc/OpMemFree/OpXfer/OpNVMeIO/OpRouteXfer bytes
@@ -136,7 +136,7 @@ type QueueSpec struct {
 type Schedule struct {
 	Ops    []Op
 	Queues []QueueSpec
-	Slots  int // retained-handle slot count
+	Slots  int // retained-latch slot count
 }
 
 // Apply returns the schedule transformed by the rewrite (the receiver is
@@ -253,7 +253,7 @@ func (b *Builder) Enqueue(q int8, col collective.Op, payload float64) {
 		Payload: payload, Slot: -1})
 }
 
-// EnqueueSlot chains a collective on stream q retaining its handle in a new
+// EnqueueSlot chains a collective on stream q retaining its latch in a new
 // slot, returned for a later WaitSlot.
 func (b *Builder) EnqueueSlot(q int8, col collective.Op, payload float64) int16 {
 	slot := int16(b.S.Slots)
@@ -263,7 +263,7 @@ func (b *Builder) EnqueueSlot(q int8, col collective.Op, payload float64) int16 
 	return slot
 }
 
-// WaitSlot blocks the program until the retained handle in slot fires.
+// WaitSlot blocks the program until the collective retained in slot fires.
 func (b *Builder) WaitSlot(q int8, slot int16) {
 	b.Emit(Op{Kind: OpWaitSlot, Queue: q, Slot: slot})
 }

@@ -472,9 +472,6 @@ func (sc *DCShardedCluster) connectHandoffs() {
 // Nodes returns the global node count.
 func (sc *DCShardedCluster) Nodes() int { return sc.Cfg.Nodes }
 
-// PodOf returns the global pod of a global node.
-func (sc *DCShardedCluster) PodOf(node int) int { return sc.podOf[node] }
-
 // ShardOf returns the shard owning a global node.
 func (sc *DCShardedCluster) ShardOf(node int) int { return sc.Part.Of[node] }
 
@@ -543,15 +540,6 @@ func (sc *DCShardedCluster) AppendRailPath(links []*fabric.Link, from, to, rail 
 func (sc *DCShardedCluster) NVFabric(node int) *fabric.Link {
 	g, l := sc.GroupOf(node)
 	return g.nv[l]
-}
-
-// LinkCount returns the number of modelled links across all shards.
-func (sc *DCShardedCluster) LinkCount() int {
-	n := 0
-	for _, g := range sc.Groups {
-		n += len(g.all)
-	}
-	return n
 }
 
 // ClassSeries merges a class's utilization series on one global node.

@@ -82,11 +82,3 @@ func (r *Runner) recomputeWorkingSet() float64 {
 	}
 	return r.cfg.Model.ActivationBytesPerLayer(r.cfg.BatchPerGPU) / float64(r.prof.ModelParallel)
 }
-
-// PeakGPUMemory returns the observed per-GPU peak of the last run.
-func (r *Runner) PeakGPUMemory() float64 {
-	if r.mem == nil {
-		return 0
-	}
-	return r.mem.peak
-}
