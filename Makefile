@@ -2,7 +2,7 @@ GO ?= go
 # FUZZTIME bounds each fuzz target in fuzz-smoke; CI's nightly job raises it.
 FUZZTIME ?= 10s
 
-.PHONY: check test build vet fmt lint lint-baseline lint-report race repeat fuzz-smoke bench bench-module serve-smoke clean
+.PHONY: check test build vet fmt lint lint-baseline lint-report race repeat fuzz-smoke bench bench-module serve-smoke identity clean
 
 ## check: the full correctness gate — gofmt, vet, build, the simlint
 ## determinism & invariant analysis, the race-enabled test suite, a short
@@ -100,6 +100,14 @@ bench:
 ## shut it down — the same liveness check CI runs.
 serve-smoke: build
 	./scripts/serve_smoke.sh
+
+## identity: build bwchar and sweep at REF and from the working tree and
+## compare their stdout byte for byte on the paper suite, the dc-train sweep
+## and a 27-cell datacenter grid (scripts/identity.sh). Not part of check:
+## a change that updates a golden for a stated reason must still land.
+identity:
+	@if [ -z "$(REF)" ]; then echo "usage: make identity REF=<commit>" >&2; exit 2; fi
+	./scripts/identity.sh $(REF)
 
 clean:
 	rm -f BENCH_fabric.json BENCH_collective.json BENCH_train.json BENCH_sim.json BENCH_topo.json BENCH_serve.json SIMLINT.json

@@ -16,12 +16,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"llmbw/internal/collective"
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
 	"llmbw/internal/report"
 	"llmbw/internal/runner"
-	"llmbw/internal/topology"
 	"llmbw/internal/train"
 )
 
@@ -70,6 +68,15 @@ func main() {
 	}
 	base := train.Config{Strategy: strat, Offload: off, Nodes: *nodes, Iterations: *iterations, Warmup: 1, Shards: *shards}
 	if err := applyTopo(&base, *topo, *algo, nodesSet); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
+	}
+	// Every error but a model that does not fit is independent of the size,
+	// so one check on a one-layer model reports it before any point is
+	// simulated, whether or not any size fits.
+	probe := base
+	probe.Model = model.NewGPT(1)
+	if err := probe.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
@@ -195,9 +202,8 @@ func startMemProfile(path string) (write func(), err error) {
 
 // applyTopo points the sweep at a generated datacenter fabric. The spec's
 // node count wins unless -nodes was given explicitly (train.Config then
-// verifies the two agree). A bad spec or algorithm, or -algo without -topo,
-// is an error here, before any point is simulated, rather than a failure per
-// sweep point or none at all when no point fits.
+// verifies the two agree). -algo without -topo is an error here; the spec
+// and the algorithm are checked with the rest of the configuration.
 func applyTopo(base *train.Config, topo, algo string, nodesSet bool) error {
 	if topo == "" {
 		if algo != "" {
@@ -207,16 +213,6 @@ func applyTopo(base *train.Config, topo, algo string, nodesSet bool) error {
 	}
 	base.Topo = topo
 	base.Algo = algo
-	if base.IsDC() {
-		if _, err := topology.ParseTopoSpec(topo); err != nil {
-			return err
-		}
-	}
-	if algo != "" {
-		if _, err := collective.ParseAlgo(algo); err != nil {
-			return err
-		}
-	}
 	if !nodesSet {
 		base.Nodes = 0 // adopt the spec's node count
 	}

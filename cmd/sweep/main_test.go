@@ -166,8 +166,9 @@ func runSweep(t *testing.T, args ...string) []byte {
 	return out
 }
 
-// TestBadTopoOrAlgoExitsBeforeSimulating: a bad -topo spec or -algo name is
-// a usage error (exit 2, nothing on stdout) whether or not any size fits,
+// TestBadTopoOrAlgoExitsBeforeSimulating: a bad -topo spec or -algo name,
+// or any other configuration error that does not depend on the model size,
+// is a usage error (exit 2, nothing on stdout) whether or not any size fits,
 // while a valid spec with a size nothing fits still prints an empty array.
 func TestBadTopoOrAlgoExitsBeforeSimulating(t *testing.T) {
 	run := func(args ...string) ([]byte, int) {
@@ -187,6 +188,13 @@ func TestBadTopoOrAlgoExitsBeforeSimulating(t *testing.T) {
 		{"-topo", "mesh:nodes=16", "-algo", "2level", "-sizes", "100000"},
 		{"-topo", "fat-tree:nodes=16", "-algo", "warp", "-sizes", "100000"},
 		{"-topo", "mesh:nodes=16", "-algo", "2level", "-sizes", "1"},
+		// Megatron and offload are not modelled on generated fabrics, and the
+		// testbed takes no -algo.
+		{"-strategy", "megatron", "-topo", "fat-tree:nodes=16", "-sizes", "100000"},
+		{"-strategy", "megatron", "-topo", "fat-tree:nodes=16", "-sizes", "1"},
+		{"-strategy", "zero2", "-offload", "cpu", "-topo", "fat-tree:nodes=16", "-sizes", "100000"},
+		{"-topo", "paper", "-algo", "2level", "-sizes", "100000"},
+		{"-topo", "paper", "-algo", "2level", "-sizes", "1"},
 	} {
 		args := append([]string{"-json", "-parallel", "1", "-iterations", "1", "-strategy", "zero3"}, tc...)
 		if out, code := run(args...); code != 2 || len(out) != 0 {

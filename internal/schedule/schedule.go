@@ -10,8 +10,8 @@
 // one live cluster (flow routes, NVMe volumes, the memory tracker, trace
 // sinks) is resolved at executor construction through the Env interface, so
 // one compiled Schedule serves every run and every concurrent executor of
-// the same shape. internal/train's per-strategy compilers are one client;
-// internal/serve's prefill/decode compilers are another.
+// the same shape. internal/train is its client: a testbed training run
+// replays its start-up, iteration and checkpoint programs through it.
 package schedule
 
 import (
@@ -60,7 +60,7 @@ type Kind uint8
 // replay.
 const (
 	// OpFlows launches a pooled flow set, fire-and-forget (e.g. the
-	// dataloader's host→GPU staging, a decode batch's logit copies).
+	// dataloader's host→GPU staging).
 	OpFlows Kind = iota
 	// OpCompute blocks for a precomputed kernel duration and traces it.
 	OpCompute
@@ -79,7 +79,7 @@ const (
 	// OpBarrier blocks until the stream's tail operation completes.
 	OpBarrier
 	// OpXfer runs a blocking pooled flow set sized by Op.Bytes (offload
-	// staging copies, disaggregated-serving KV shipments).
+	// staging copies, checkpoint staging).
 	OpXfer
 	// OpPacedFlows starts a fire-and-forget pooled flow set and blocks for
 	// Op.Dur (a paced host-side step whose memory traffic spreads over its

@@ -10,11 +10,12 @@
 // batch exactly as naive continuous batching does) and disaggregated (a
 // prefill pool ships each request's KV cache to its decode replica as fabric
 // flows — the bandwidth-sensitive path the what-if studies sweep). A fabric
-// supplies only the cost of a prefill pass and of a decode step. The paper's
-// testbed is the one-replica case: its passes are internal/schedule programs
-// (roofline compute against sustained HBM bandwidth, tensor-parallel
-// all-reduces through compiled collective plans, KV shipment across the
-// RoCE fabric) replayed by the shared executor. Generated datacenter fabrics
+// supplies only the cost of a prefill pass and of a decode step, and both
+// fabrics walk a pass as the same short list of legs: roofline sleeps
+// (compute against sustained HBM bandwidth), flow batches and dual-ring
+// all-reduces. The paper's testbed is the one-replica case: its
+// tensor-parallel all-reduces run through compiled collective plans and its
+// KV shipment crosses the RoCE fabric. Generated datacenter fabrics
 // (fat-tree / rail-only / dragonfly) run one coarser replica per node,
 // mirroring how internal/train treats them.
 package serve
@@ -79,15 +80,14 @@ type TraceReq struct {
 
 // Serving limits and bucketing granularity.
 const (
-	// MaxBatchLimit bounds the continuous-batching window (and sizes the
-	// executor program cache).
+	// MaxBatchLimit bounds the continuous-batching window.
 	MaxBatchLimit = 64
-	// CtxBucket quantizes the batch's maximum context length when selecting
-	// a compiled decode program, so the program cache stays small while
-	// KV-read traffic still grows with context.
+	// CtxBucket quantizes the batch's maximum context length when costing a
+	// decode step: the step reads KV up to its bucket's upper edge, so
+	// KV-read traffic grows with context in bucket-sized steps.
 	CtxBucket = 256
-	// PromptBucket quantizes prompt lengths when selecting a compiled
-	// prefill program.
+	// PromptBucket quantizes prompt lengths when costing a prefill pass and
+	// sizing its testbed KV shipment.
 	PromptBucket = 64
 )
 

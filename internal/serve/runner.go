@@ -105,9 +105,8 @@ const (
 )
 
 // NewRunner builds the fabric, generates the deterministic workload and
-// places it on the fabric's replicas. The testbed's step model eagerly
-// compiles every prefill/decode program shape the workload can present (so
-// the serving loops only ever look programs up).
+// places it on the fabric's replicas. The step model preallocates each
+// node's walker and flows; collective plans compile on their first issue.
 func NewRunner(cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {

@@ -343,8 +343,8 @@ func fillBatch(r *Runner) *replica {
 }
 
 // steadyDecoder fills r's first replica's batch, runs four decode steps
-// (warming every executor pool) and returns a function that runs one more
-// step to its end, draining the engine.
+// (warming every collective plan and flow) and returns a function that runs
+// one more step to its end, draining the engine.
 func steadyDecoder(r *Runner) (*replica, func()) {
 	rep := fillBatch(r)
 	nop := func() {}
@@ -360,21 +360,57 @@ func steadyDecoder(r *Runner) (*replica, func()) {
 	return rep, step
 }
 
+// steadyPrefiller returns a function that runs the prompt pass of r's first
+// request to its end on the node that admits it, draining the engine, after
+// four such passes have warmed every collective plan and flow. It drives
+// the step model directly, so admission state never moves.
+func steadyPrefiller(r *Runner) func() {
+	q := &r.reqs[0]
+	pre, dec := r.admitterOf(q).node, r.replicaOf(q).node
+	nop := func() {}
+	step := func() {
+		if !r.cost.prefill(q, pre, dec, nop) {
+			r.eng.Run()
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	return step
+}
+
 // TestServeDecodeReplayAllocFree pins the serving tentpole's steady-state
-// claim: once warm, replaying decode steps through the shared scheduler
-// allocates nothing, both through the testbed's pooled executors and through
-// the datacenter step model's preallocated NVSwitch flows.
+// claim: once warm, a decode step through the shared scheduler and a prompt
+// pass through either fabric's step model allocate nothing — the testbed's
+// walker, collective plans and reused KV flows, and the datacenter's
+// preallocated NVSwitch and KV flows.
 func TestServeDecodeReplayAllocFree(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		base Config
+		name    string
+		base    Config
+		prefill bool // pin a prompt pass instead of a decode step
 	}{
-		{"testbed", Config{}},
+		{"testbed", Config{}, false},
 		// Eight colocated replicas of eight requests each, TP=2 so every
 		// step crosses the node's NVSwitch flow.
-		{"fat-tree", Config{Topo: "fat-tree:nodes=8", TensorParallel: 2, Requests: 64}},
+		{"fat-tree", Config{Topo: "fat-tree:nodes=8", TensorParallel: 2, Requests: 64}, false},
+		{"testbed/prefill", Config{}, true},
+		// The prefill node ships the KV cache to its decode peer over the
+		// per-rank RoCE flows.
+		{"testbed/disaggregated/prefill", Config{Disaggregated: true}, true},
+		// A prefill-pool node's pass: NVSwitch flow, then the KV shipment
+		// over the request's rail.
+		{"fat-tree/disaggregated/prefill", Config{Topo: "fat-tree:nodes=8", TensorParallel: 2,
+			Disaggregated: true, Requests: 64}, true},
 	} {
-		rep, step := steadyDecoder(steadyRunnerOn(t, tc.base))
+		r := steadyRunnerOn(t, tc.base)
+		if tc.prefill {
+			if got := testing.AllocsPerRun(8, steadyPrefiller(r)); got != 0 {
+				t.Errorf("%s: warm prefill pass allocates %v allocs/pass, want 0", tc.name, got)
+			}
+			continue
+		}
+		rep, step := steadyDecoder(r)
 		if got := testing.AllocsPerRun(8, step); got != 0 {
 			t.Errorf("%s: steady decode replay allocates %v allocs/step, want 0", tc.name, got)
 		}

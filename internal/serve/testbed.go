@@ -5,28 +5,26 @@ import (
 
 	"llmbw/internal/collective"
 	"llmbw/internal/fabric"
-	"llmbw/internal/schedule"
-	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
 
-// testbedSteps is the paper testbed's step model: each prefill pass and
-// decode step is a compiled internal/schedule program (see compile.go)
-// replayed by a pooled executor, so the steady token loop allocates nothing.
+// testbedSteps is the paper testbed's step model: a prefill pass or decode
+// step is one roofline span and the two aggregated tensor-parallel
+// all-reduces through compiled collective plans, and a disaggregated
+// prefill then ships the request's KV cache to the decode node across the
+// RoCE fabric. Each serving node walks its passes on its own walker, and
+// the KV flows are built once and restarted only after they complete, so
+// warm passes allocate nothing.
 type testbedSteps struct {
 	r        *Runner
-	cluster  *topology.Cluster
-	pre, dec int // prefill and decode nodes (equal when colocated)
-
-	preGroup *collective.Group             // tensor-parallel group serving prefill
-	decGroup *collective.Group             // tensor-parallel group serving decode
-	preExec  map[int]*schedule.Executor    // by prompt bucket
-	decExec  map[[2]int]*schedule.Executor // by (batch, ctx bucket index)
+	preGroup *collective.Group // tensor-parallel group serving prefill
+	decGroup *collective.Group // tensor-parallel group serving decode
+	passes   []walker          // per node: its pass in flight
+	kv       []*fabric.Flow    // per tensor-parallel rank: its KV shipment (disaggregated only)
 }
 
-// newTestbedSteps builds the testbed cluster around r's placement, binds r
-// to its engine, and eagerly compiles every program shape r's workload can
-// present.
+// newTestbedSteps builds the testbed cluster around r's placement and binds
+// r to its engine.
 func newTestbedSteps(r *Runner) *testbedSteps {
 	cfg := r.cfg
 	tcfg := topology.DefaultConfig(cfg.Nodes)
@@ -36,10 +34,11 @@ func newTestbedSteps(r *Runner) *testbedSteps {
 	r.eng = cluster.Eng
 	r.runSim = cluster.Eng.Run
 
-	t := &testbedSteps{r: r, cluster: cluster, dec: r.replicas[0].node}
-	t.pre = t.dec
+	// The prefill and decode nodes are equal when colocated.
+	dec := r.replicas[0].node
+	pre := dec
 	if len(r.prefills) > 0 {
-		t.pre = r.prefills[0].node
+		pre = r.prefills[0].node
 	}
 	ranks := func(node int) []topology.GPU {
 		gs := make([]topology.GPU, cfg.TensorParallel)
@@ -48,88 +47,59 @@ func newTestbedSteps(r *Runner) *testbedSteps {
 		}
 		return gs
 	}
-	t.decGroup = collective.NewGroup(cluster, ranks(t.dec))
+	t := &testbedSteps{r: r, passes: newWalkers(cfg.Nodes, r.eng, cluster.Net)}
+	t.decGroup = collective.NewGroup(cluster, ranks(dec))
 	t.preGroup = t.decGroup
-	if t.pre != t.dec {
-		t.preGroup = collective.NewGroup(cluster, ranks(t.pre))
-	}
-
-	maxCtx := 0
-	t.preExec = make(map[int]*schedule.Executor)
-	for i := range r.reqs {
-		q := &r.reqs[i]
-		if c := q.prompt + q.decode; c > maxCtx {
-			maxCtx = c
-		}
-		pb := promptBucket(q.prompt)
-		if _, ok := t.preExec[pb]; !ok {
-			t.preExec[pb] = schedule.NewExecutor(serveEnv{t: t, prefill: true}, t.compilePrefill(pb))
-		}
-	}
-	maxCB := ctxBucketIdx(maxCtx)
-	t.decExec = make(map[[2]int]*schedule.Executor, cfg.MaxBatch*maxCB)
-	for b := 1; b <= cfg.MaxBatch; b++ {
-		for cb := 1; cb <= maxCB; cb++ {
-			t.decExec[[2]int{b, cb}] = schedule.NewExecutor(serveEnv{t: t}, t.compileDecode(b, cb))
+	if pre != dec {
+		t.preGroup = collective.NewGroup(cluster, ranks(pre))
+		// One GPUDirect RoCE flow per tensor-parallel rank from the prefill
+		// node's GPU to its decode peer, each NIC serving its own socket's
+		// GPUs.
+		t.kv = make([]*fabric.Flow, cfg.TensorParallel)
+		for i := range t.kv {
+			src := topology.GPU{Node: pre, Index: i}
+			dst := topology.GPU{Node: dec, Index: i}
+			route := cluster.GPUToRemoteGPUVia(src, dst, src.Socket(), dst.Socket())
+			t.kv[i] = route.Flow(fmt.Sprintf("kv-ship-g%d", i), 0)
 		}
 	}
 	return t
 }
 
-// prefill replays the prompt bucket's program, KV shipment included.
-func (t *testbedSteps) prefill(q *request, _, _ int, next func()) bool {
-	return t.preExec[promptBucket(q.prompt)].Run(next)
+// prefill walks q's prompt pass on node pre and, when disaggregated, the
+// blocking KV shipment sized as each rank's KV shard of the prompt bucket.
+func (t *testbedSteps) prefill(q *request, pre, _ int, next func()) bool {
+	pb := promptBucket(q.prompt)
+	w := t.passes[pre].begin(next)
+	w.sleep(t.r.prefillTime(pb))
+	t.allReduces(w, t.preGroup, pb)
+	if t.kv != nil {
+		for _, f := range t.kv {
+			f.Bytes = float64(pb) * t.r.kvPerTok
+		}
+		w.flows(t.kv)
+	}
+	return w.run()
 }
 
-// decode replays the (batch, context bucket) shape's program. The scheduler
-// reaches it through stepModel, which hides it from simlint's call graph,
-// hence its own steady marker.
+// decode walks one decode step of a bn-request batch whose longest context
+// lands in bucket cb. The scheduler reaches it through stepModel, which
+// hides it from simlint's call graph, hence its own steady marker.
 //
 //lint:steady
-func (t *testbedSteps) decode(_, bn, cb int, next func()) bool {
-	return t.decExec[[2]int{bn, cb}].Run(next)
+func (t *testbedSteps) decode(node, bn, cb int, next func()) bool {
+	w := t.passes[node].begin(next)
+	w.sleep(t.r.decodeTime(bn, cb))
+	t.allReduces(w, t.decGroup, bn)
+	return w.run()
 }
 
-// serveEnv binds the serving programs to the live cluster. KV residency is
-// accounted by the scheduler at admission/completion (exact token counts),
-// not through schedule memory ops (which would be bucket-quantized), so
-// MemAlloc/MemFree are inert; tracing is off on the serving path.
-type serveEnv struct {
-	t       *testbedSteps
-	prefill bool
-}
-
-func (e serveEnv) Engine() *sim.Engine      { return e.t.r.eng }
-func (e serveEnv) Network() *fabric.Network { return e.t.cluster.Net }
-
-func (e serveEnv) World() *collective.Group {
-	if e.prefill {
-		return e.t.preGroup
-	}
-	return e.t.decGroup
-}
-
-func (e serveEnv) MemAlloc(float64)                             {}
-func (e serveEnv) MemFree(float64)                              {}
-func (e serveEnv) TraceOp(op *schedule.Op, start, end sim.Time) {}
-func (e serveEnv) NVMeTargets() []schedule.NVMeTarget           { return nil }
-
-// FlowBuilder resolves the disaggregated KV shipment: one GPUDirect RoCE
-// flow per tensor-parallel rank from the prefill node's GPU to its decode
-// peer, each NIC serving its own socket's GPUs. Runs only on pool miss.
-func (e serveEnv) FlowBuilder(op *schedule.Op) func() []*fabric.Flow {
-	if op.Kind != schedule.OpXfer {
-		panic(fmt.Sprintf("serve: no flow builder for op kind %d", int(op.Kind)))
-	}
-	bytes := op.Bytes
-	return func() []*fabric.Flow {
-		flows := make([]*fabric.Flow, e.t.r.cfg.TensorParallel)
-		for i := range flows {
-			src := topology.GPU{Node: e.t.pre, Index: i}
-			dst := topology.GPU{Node: e.t.dec, Index: i}
-			route := e.t.cluster.GPUToRemoteGPUVia(src, dst, src.Socket(), dst.Socket())
-			flows[i] = route.Flow(fmt.Sprintf("kv-ship-g%d", i), bytes)
-		}
-		return flows
+// allReduces adds a pass's two aggregated tensor-parallel all-reduces over
+// tokens tokens on g.
+func (t *testbedSteps) allReduces(w *walker, g *collective.Group, tokens int) {
+	if t.r.cfg.TensorParallel > 1 {
+		payload := tpAllReducePayload(t.r.cfg.Model, tokens)
+		w.allReduce(g, payload)
+		w.allReduce(g, payload)
 	}
 }

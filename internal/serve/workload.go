@@ -62,7 +62,7 @@ func (r *rng) exp(mean float64) float64 {
 
 // tokens draws a length uniformly in [mean/2, 3·mean/2], never below 1. A
 // bounded spread keeps per-request KV footprints within the capacity bound
-// that Validate checks while still exercising bucketed program selection.
+// that Validate checks while still spanning several prompt buckets.
 func (r *rng) tokens(mean int) int {
 	lo := mean / 2
 	if lo < 1 {

@@ -104,10 +104,10 @@ func (k Kind) Class() Class {
 	return ClassCompute
 }
 
-// Phase tags a span with the iteration phase of the schedule op that emitted
-// it. The schedule IR tags every op, so exported traces can be filtered by
-// phase; spans recorded outside a compiled schedule (training start-up and
-// checkpoint writes) carry PhaseNone. Phase never affects rendering,
+// Phase tags a span with the training phase of the schedule op that emitted
+// it, so exported traces can be filtered by phase. An iteration's ops carry
+// the phase they run in; the start-up and checkpoint programs, which run
+// outside any iteration, carry PhaseNone. Phase never affects rendering,
 // summaries or breakdowns — adding it is golden-safe.
 type Phase uint8
 
@@ -119,10 +119,6 @@ const (
 	PhaseBackward
 	PhaseOptimizer
 	PhasePrefetch
-	// Serving phases (internal/serve): the prompt pass and the token
-	// generation loop of an inference request.
-	PhasePrefill
-	PhaseDecode
 )
 
 // String returns the phase label used in exported traces.
@@ -138,10 +134,6 @@ func (p Phase) String() string {
 		return "optimizer"
 	case PhasePrefetch:
 		return "prefetch"
-	case PhasePrefill:
-		return "prefill"
-	case PhaseDecode:
-		return "decode"
 	}
 	return ""
 }

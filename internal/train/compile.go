@@ -14,10 +14,14 @@ import (
 )
 
 // This file is the schedule compiler: each strategy's training iteration
-// expressed as a one-time lowering into the internal/schedule op vocabulary.
-// Every operand is precomputed at compile time, so the executor replays the
-// same event sequence every iteration; testdata/schedule_shapes.golden pins
-// the result of each strategy × offload shape.
+// expressed as a one-time lowering into the internal/schedule op vocabulary
+// — a typed op list with explicit stream dependencies and phase tags,
+// replayed every iteration by the shared executor with pooled flows and
+// collective plans and re-armed stream latches, so steady-state iterations
+// allocate nothing. Every operand is precomputed at compile time, so the
+// executor replays the same event sequence every iteration;
+// testdata/schedule_shapes.golden pins the result of each strategy ×
+// offload shape.
 
 // scheduleCache is the compiled-program tier of the warm-artifact store. A
 // non-hybrid schedule is a pure function of the configuration slice keyed
@@ -62,7 +66,7 @@ func (r *Runner) iterationSchedule() *schedule.Schedule {
 func (r *Runner) compileIteration() *schedule.Schedule {
 	b := &schedBuilder{r: r, Builder: schedule.NewBuilder()}
 	b.Phase = trace.PhaseData
-	b.stage()
+	b.Flows() // the dataloader's host→GPU staging of the next batch
 	switch r.cfg.Strategy {
 	case DDP:
 		b.compileDDP()
@@ -105,13 +109,12 @@ func (r *Runner) backwardFactor() float64 {
 
 // schedBuilder layers the strategies' domain helpers (FLOP→duration
 // conversion, offload/NVMe policies, chunking) over the generic schedule
-// builder; emits inherit the builder's current Phase.
+// builder, whose primitive emits the compilers call directly; emits inherit
+// the builder's current Phase.
 type schedBuilder struct {
 	*schedule.Builder
 	r *Runner
 }
-
-func (b *schedBuilder) stage() { b.Flows() }
 
 func (b *schedBuilder) compute(tk trace.Kind, flops float64) {
 	b.Compute(tk, b.r.gpu.KernelTime(flops))
@@ -121,33 +124,9 @@ func (b *schedBuilder) gpuAdam(params int64) {
 	b.Compute(trace.WeightUpdate, b.r.gpu.AdamTime(params))
 }
 
-func (b *schedBuilder) overhead(d sim.Time) { b.Overhead(d) }
-
-func (b *schedBuilder) alloc(bytes float64) { b.Alloc(bytes) }
-
-func (b *schedBuilder) free(bytes float64) { b.Free(bytes) }
-
-func (b *schedBuilder) sync(op collective.Op, payload, limit float64, rings int) {
-	b.Sync(op, payload, limit, rings)
-}
-
 func (b *schedBuilder) syncOn(g *collective.Group, op collective.Op, payload float64) {
 	b.SyncOn(g, op, payload, 0, 2)
 }
-
-func (b *schedBuilder) newQueue(limit float64, rings int) int8 { return b.NewQueue(limit, rings) }
-
-func (b *schedBuilder) enqueue(q int8, op collective.Op, payload float64) {
-	b.Enqueue(q, op, payload)
-}
-
-func (b *schedBuilder) enqueueSlot(q int8, op collective.Op, payload float64) int16 {
-	return b.EnqueueSlot(q, op, payload)
-}
-
-func (b *schedBuilder) waitSlot(q int8, slot int16) { b.WaitSlot(q, slot) }
-
-func (b *schedBuilder) barrier(q int8) { b.Barrier(q) }
 
 func (b *schedBuilder) offload(bytesPerRank float64) {
 	b.Xfer(trace.OffloadCopy, bytesPerRank)
@@ -193,8 +172,8 @@ func (b *schedBuilder) z1Collective(op collective.Op, payload float64) {
 		if sz > chunk {
 			sz = chunk
 		}
-		b.sync(op, sz, 0, 1)
-		b.overhead(z1ChunkLatency)
+		b.Sync(op, sz, 0, 1)
+		b.Overhead(z1ChunkLatency)
 		payload -= sz
 	}
 }
@@ -208,10 +187,10 @@ func (b *schedBuilder) forward(mp int) {
 	layerF := g.LayerForwardFLOPs(bt) / float64(mp)
 	for l := 0; l < g.Layers; l++ {
 		b.compute(trace.Gemm, layerF)
-		b.alloc(r.layerActivationBytes())
+		b.Alloc(r.layerActivationBytes())
 	}
 	b.compute(trace.Gemm, g.HeadForwardFLOPs(bt)/float64(mp))
-	b.alloc(r.headActivationBytes())
+	b.Alloc(r.headActivationBytes())
 	b.compute(trace.Elementwise, 0) // loss/softmax epilogue
 }
 
@@ -252,20 +231,20 @@ func (b *schedBuilder) compileDDP() {
 	b.Phase = trace.PhaseForward
 	b.forward(1)
 
-	q := b.newQueue(0, 2)
+	q := b.NewQueue(0, 2)
 	b.Phase = trace.PhaseBackward
 	b.compute(trace.Gemm, 2*g.HeadForwardFLOPs(bt))
-	b.free(r.headActivationBytes())
-	b.alloc(r.recomputeWorkingSet())
+	b.Free(r.headActivationBytes())
+	b.Alloc(r.recomputeWorkingSet())
 	bk := buckets(g.Layers)
 	perBucket := r.gradBytes / float64(len(bk))
 	for _, k := range bk {
 		b.compute(trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(bt)*float64(k))
-		b.free(float64(k) * r.layerActivationBytes())
-		b.enqueue(q, collective.AllReduce, perBucket)
+		b.Free(float64(k) * r.layerActivationBytes())
+		b.Enqueue(q, collective.AllReduce, perBucket)
 	}
-	b.free(r.recomputeWorkingSet())
-	b.barrier(q)
+	b.Free(r.recomputeWorkingSet())
+	b.Barrier(q)
 	b.Phase = trace.PhaseOptimizer
 	b.gpuAdam(g.Params())
 }
@@ -289,23 +268,23 @@ func (b *schedBuilder) compileMegatron() {
 		b.Phase = trace.PhaseForward
 		for l := 0; l < g.Layers; l++ {
 			b.compute(trace.Gemm, layerF)
-			b.alloc(r.layerActivationBytes())
-			b.sync(collective.AllReduce, actBytes, 0, 2)
-			b.sync(collective.AllReduce, actBytes, 0, 2)
+			b.Alloc(r.layerActivationBytes())
+			b.Sync(collective.AllReduce, actBytes, 0, 2)
+			b.Sync(collective.AllReduce, actBytes, 0, 2)
 		}
 		b.compute(trace.Gemm, g.HeadForwardFLOPs(bt)/float64(mp))
-		b.alloc(r.headActivationBytes())
-		b.sync(collective.AllReduce, actBytes, 0, 2)
+		b.Alloc(r.headActivationBytes())
+		b.Sync(collective.AllReduce, actBytes, 0, 2)
 
 		b.Phase = trace.PhaseBackward
 		for l := 0; l < g.Layers; l++ {
 			b.compute(trace.Gemm, 2*layerF)
-			b.free(r.layerActivationBytes())
-			b.sync(collective.AllReduce, actBytes, 0, 2)
-			b.sync(collective.AllReduce, actBytes, 0, 2)
+			b.Free(r.layerActivationBytes())
+			b.Sync(collective.AllReduce, actBytes, 0, 2)
+			b.Sync(collective.AllReduce, actBytes, 0, 2)
 		}
 		b.compute(trace.Gemm, 2*g.HeadForwardFLOPs(bt)/float64(mp))
-		b.free(r.headActivationBytes())
+		b.Free(r.headActivationBytes())
 	}
 	b.Phase = trace.PhaseOptimizer
 	b.gpuAdam(g.Params() / int64(mp))
@@ -323,13 +302,13 @@ func (b *schedBuilder) compileZeRO1() {
 	b.forward(1)
 	b.Phase = trace.PhaseBackward
 	b.compute(trace.Gemm, 2*g.HeadForwardFLOPs(bt))
-	b.free(r.headActivationBytes())
-	b.alloc(r.recomputeWorkingSet())
+	b.Free(r.headActivationBytes())
+	b.Alloc(r.recomputeWorkingSet())
 	for _, k := range buckets(g.Layers) {
 		b.compute(trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(bt)*float64(k))
-		b.free(float64(k) * r.layerActivationBytes())
+		b.Free(float64(k) * r.layerActivationBytes())
 	}
-	b.free(r.recomputeWorkingSet())
+	b.Free(r.recomputeWorkingSet())
 	b.Phase = trace.PhaseOptimizer
 	b.z1Collective(collective.ReduceScatter, r.gradBytes)
 	b.optimizer()
@@ -349,29 +328,29 @@ func (b *schedBuilder) compileZeRO2() {
 	b.forward(1)
 
 	overlap := r.cfg.Nodes == 1
-	q := b.newQueue(0, 1)
+	q := b.NewQueue(0, 1)
 	b.Phase = trace.PhaseBackward
 	b.compute(trace.Gemm, 2*g.HeadForwardFLOPs(bt))
-	b.free(r.headActivationBytes())
-	b.alloc(r.recomputeWorkingSet())
+	b.Free(r.headActivationBytes())
+	b.Alloc(r.recomputeWorkingSet())
 	bk := buckets(g.Layers)
 	perBucket := r.gradBytes / float64(len(bk))
 	for _, k := range bk {
 		b.compute(trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(bt)*float64(k))
-		b.free(float64(k) * r.layerActivationBytes())
+		b.Free(float64(k) * r.layerActivationBytes())
 		if overlap {
-			b.enqueue(q, collective.ReduceScatter, perBucket)
+			b.Enqueue(q, collective.ReduceScatter, perBucket)
 		}
 	}
-	b.free(r.recomputeWorkingSet())
+	b.Free(r.recomputeWorkingSet())
 	if overlap {
-		b.barrier(q)
+		b.Barrier(q)
 	} else {
-		b.sync(collective.ReduceScatter, r.gradBytes, 0, 1)
+		b.Sync(collective.ReduceScatter, r.gradBytes, 0, 1)
 	}
 	b.Phase = trace.PhaseOptimizer
 	b.optimizer()
-	b.sync(collective.AllGather, r.paramBytes, 0, 1)
+	b.Sync(collective.AllGather, r.paramBytes, 0, 1)
 }
 
 // compileZeRO3: parameters live sharded. Forward and backward gather each
@@ -399,24 +378,24 @@ func (b *schedBuilder) compileZeRO3() {
 		b.nvme(r.paramBytes/float64(r.cfg.WorldSize()), false)
 	}
 
-	q := b.newQueue(0, 1)
+	q := b.NewQueue(0, 1)
 	slots := make([]int16, len(gr))
 	b.Phase = trace.PhasePrefetch
-	slots[0] = b.enqueueSlot(q, collective.AllGather, groupBytes(0))
+	slots[0] = b.EnqueueSlot(q, collective.AllGather, groupBytes(0))
 	for i := range gr {
 		if i+1 < len(gr) {
 			b.Phase = trace.PhasePrefetch
-			slots[i+1] = b.enqueueSlot(q, collective.AllGather, groupBytes(i+1))
+			slots[i+1] = b.EnqueueSlot(q, collective.AllGather, groupBytes(i+1))
 		}
 		b.Phase = trace.PhaseForward
-		b.waitSlot(q, slots[i])
-		b.overhead(r.zero3Overhead() * sim.Time(gr[i]))
+		b.WaitSlot(q, slots[i])
+		b.Overhead(r.zero3Overhead() * sim.Time(gr[i]))
 		b.compute(trace.Gemm, g.LayerForwardFLOPs(bt)*float64(gr[i]))
-		b.alloc(float64(gr[i]) * r.layerActivationBytes())
+		b.Alloc(float64(gr[i]) * r.layerActivationBytes())
 	}
 	b.Phase = trace.PhaseForward
 	b.compute(trace.Gemm, g.HeadForwardFLOPs(bt))
-	b.alloc(r.headActivationBytes())
+	b.Alloc(r.headActivationBytes())
 
 	if r.cfg.Offload == memory.NVMeOptimizerAndParams {
 		b.Phase = trace.PhasePrefetch
@@ -424,27 +403,27 @@ func (b *schedBuilder) compileZeRO3() {
 	}
 	b.Phase = trace.PhaseBackward
 	b.compute(trace.Gemm, 2*g.HeadForwardFLOPs(bt))
-	b.free(r.headActivationBytes())
-	b.alloc(r.recomputeWorkingSet())
-	bq := b.newQueue(0, 1)
+	b.Free(r.headActivationBytes())
+	b.Alloc(r.recomputeWorkingSet())
+	bq := b.NewQueue(0, 1)
 	bslots := make([]int16, len(gr))
 	last := len(gr) - 1
 	b.Phase = trace.PhasePrefetch
-	bslots[last] = b.enqueueSlot(bq, collective.AllGather, groupBytes(last))
+	bslots[last] = b.EnqueueSlot(bq, collective.AllGather, groupBytes(last))
 	for i := last; i >= 0; i-- {
 		if i-1 >= 0 {
 			b.Phase = trace.PhasePrefetch
-			bslots[i-1] = b.enqueueSlot(bq, collective.AllGather, groupBytes(i-1))
+			bslots[i-1] = b.EnqueueSlot(bq, collective.AllGather, groupBytes(i-1))
 		}
 		b.Phase = trace.PhaseBackward
-		b.waitSlot(bq, bslots[i])
-		b.overhead(r.zero3Overhead() * sim.Time(gr[i]))
+		b.WaitSlot(bq, bslots[i])
+		b.Overhead(r.zero3Overhead() * sim.Time(gr[i]))
 		b.compute(trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(bt)*float64(gr[i]))
-		b.free(float64(gr[i]) * r.layerActivationBytes())
-		b.enqueue(bq, collective.ReduceScatter, groupBytes(i))
+		b.Free(float64(gr[i]) * r.layerActivationBytes())
+		b.Enqueue(bq, collective.ReduceScatter, groupBytes(i))
 	}
-	b.free(r.recomputeWorkingSet())
-	b.barrier(bq)
+	b.Free(r.recomputeWorkingSet())
+	b.Barrier(bq)
 	b.Phase = trace.PhaseOptimizer
 	b.optimizer()
 }
@@ -485,7 +464,7 @@ func (b *schedBuilder) compileMegatronHybrid() {
 
 	actResident := float64(g.Layers)*r.layerActivationBytes() + r.headActivationBytes()
 	b.Phase = trace.PhaseForward
-	b.alloc(actResident)
+	b.Alloc(actResident)
 	fwdSlots := micro + pp - 1
 	for s := 0; s < fwdSlots; s++ {
 		slot(false)
@@ -495,7 +474,7 @@ func (b *schedBuilder) compileMegatronHybrid() {
 	for s := 0; s < fwdSlots; s++ {
 		slot(true)
 	}
-	b.free(actResident)
+	b.Free(actResident)
 	b.Phase = trace.PhaseOptimizer
 	b.gpuAdam(g.Params() / int64(tp*pp))
 }

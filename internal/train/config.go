@@ -19,6 +19,7 @@ import (
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
 	"llmbw/internal/nvme"
+	"llmbw/internal/schedule"
 	"llmbw/internal/sim"
 	"llmbw/internal/topology"
 )
@@ -113,9 +114,9 @@ type Config struct {
 	// mid-run events (e.g. cluster.Eng.Schedule + cluster.Net.SetCapacity)
 	// for resilience studies.
 	FaultInjection func(c *topology.Cluster)
-	// Rewrite applies a schedule-level ablation (see Rewrite) to the
-	// compiled iteration program.
-	Rewrite Rewrite
+	// Rewrite applies a schedule-level ablation (see schedule.Rewrite) to
+	// the compiled iteration program.
+	Rewrite schedule.Rewrite
 	// Shards requests a simulation shard count; it is clamped to the
 	// partitions the fabric has. The testbed is one fluid fair-share domain
 	// — a single cross-node collective flow couples every node's rate

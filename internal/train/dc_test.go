@@ -12,6 +12,7 @@ import (
 	"llmbw/internal/fabric"
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
+	"llmbw/internal/schedule"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
@@ -148,7 +149,7 @@ func TestDCValidate(t *testing.T) {
 		{"trace", func(c *Config) { c.Trace = true }},
 		{"purpose-built", func(c *Config) { c.PurposeBuilt = true }},
 		{"roce override", func(c *Config) { c.RoCEBW = 1e9 }},
-		{"rewrite", func(c *Config) { c.Rewrite = RewriteSerializeComm }},
+		{"rewrite", func(c *Config) { c.Rewrite = schedule.RewriteSerializeComm }},
 		{"algo on testbed", func(c *Config) { c.Topo = ""; c.Nodes = 1; c.Algo = "flat" }},
 	}
 	for _, tc := range cases {

@@ -17,7 +17,9 @@ import (
 // needs from one live Runner — the engine, the fabric, the world
 // communicator, the GPU memory tracker, per-rank trace fan-out, and the
 // concrete flow/NVMe constructors the pooled flow sets are built from — so
-// cached schedules stay pure data shared across runs.
+// cached schedules stay pure data shared across runs. A testbed run replays
+// three programs through it: start-up, the iteration and the checkpoint
+// save.
 
 // replay starts one training step of the configured strategy by replaying
 // its compiled schedule, building the schedule and executor on first use.
@@ -30,6 +32,26 @@ func (r *Runner) replay(done func()) bool {
 		r.exec = schedule.NewExecutor(trainEnv{r}, r.iterationSchedule())
 	}
 	return r.exec.Run(done)
+}
+
+// startup runs the start-up program once, if the strategy has one, and
+// reports whether it completed inline; otherwise done fires when it ends.
+func (r *Runner) startup(done func()) bool {
+	s := r.startupSchedule()
+	if s == nil {
+		return true
+	}
+	return schedule.NewExecutor(trainEnv{r}, s).Run(done)
+}
+
+// checkpoint starts one checkpoint save, building its executor on first
+// use, and reports whether it completed inline; otherwise done fires when
+// it ends.
+func (r *Runner) checkpoint(done func()) bool {
+	if r.ckpt == nil {
+		r.ckpt = schedule.NewExecutor(ckptEnv{trainEnv{r}}, r.checkpointSchedule())
+	}
+	return r.ckpt.Run(done)
 }
 
 // trainEnv implements schedule.Env over a Runner.
@@ -81,6 +103,21 @@ func (e trainEnv) NVMeTargets() []schedule.NVMeTarget {
 	return out
 }
 
+// ckptEnv binds the checkpoint program: every rank writes its slice of
+// model states to the checkpoint volume.
+type ckptEnv struct{ trainEnv }
+
+// NVMeTargets resolves each rank's socket on the checkpoint volume in rank
+// order.
+func (e ckptEnv) NVMeTargets() []schedule.NVMeTarget {
+	r := e.r
+	out := make([]schedule.NVMeTarget, 0, r.cfg.WorldSize())
+	r.eachGPU(func(rank int, g topology.GPU) {
+		out = append(out, schedule.NVMeTarget{Vol: r.ckptVol, Socket: g.Socket()})
+	})
+	return out
+}
+
 // ---- flow builders (run only on a pool miss) ----
 
 // stageBatchFlowsFn builds the dataloader's host→GPU staging traffic for the
@@ -99,14 +136,19 @@ func (r *Runner) stageBatchFlowsFn() func() []*fabric.Flow {
 	}
 }
 
-// offloadFlowsFn builds the per-rank GPU↔host staging pair of an offload copy
-// (see offloadCopyFlows).
+// offloadFlowsFn builds the per-rank GPU↔host staging pair of an offload
+// copy of bytesPerRank. Half the staging lands on the GPU's local socket,
+// half on the neighbour (DeepSpeed's pinned buffers are not NUMA-aware),
+// which is what puts offload traffic on xGMI in the paper's Table IV.
 func (r *Runner) offloadFlowsFn(bytesPerRank float64) func() []*fabric.Flow {
-	mk := r.offloadCopyFlows(bytesPerRank)
 	return func() []*fabric.Flow {
 		var flows []*fabric.Flow
 		r.eachGPU(func(rank int, g topology.GPU) {
-			flows = append(flows, mk(rank, g)...)
+			local := r.cluster.GPUToCPU(g, g.Socket())
+			remote := r.cluster.GPUToCPU(g, 1-g.Socket())
+			flows = append(flows,
+				local.Flow(fmt.Sprintf("offload/r%d/local", rank), bytesPerRank*(1-crossStagingFrac)),
+				remote.Flow(fmt.Sprintf("offload/r%d/remote", rank), bytesPerRank*crossStagingFrac))
 		})
 		return flows
 	}

@@ -104,14 +104,10 @@ type Runner struct {
 	gradBytes  float64 // 2Ψ FP16 gradients
 	paramBytes float64 // 2Ψ FP16 parameters
 
-	// flowScratch collects startRankFlows' per-rank flows for batched
-	// admission; StartFlows does not retain the slice, so one buffer serves
-	// every call.
-	flowScratch []*fabric.Flow
-
-	// exec is the compiled-schedule replay state, built lazily on the first
-	// iteration and reused thereafter.
+	// exec and ckpt replay the iteration and checkpoint programs, each
+	// built lazily on first use and reused thereafter.
 	exec *schedule.Executor
+	ckpt *schedule.Executor
 }
 
 // newRunner validates the configuration and builds the simulated cluster and
@@ -239,27 +235,23 @@ func (r *Runner) Cluster() *topology.Cluster { return r.cluster }
 type trainStage int
 
 const (
-	trainStart    trainStage = iota // issue the start-up collective
+	trainStart    trainStage = iota // run the start-up program
 	trainIterate                    // start the next iteration, or end
 	trainIterated                   // an iteration finished
-	trainStaged                     // checkpoint weights reached host memory
-	trainTraced                     // a traced span (kind from t0) finished
 )
 
-// trainer drives a testbed run: a callback state machine over start-up,
-// Warmup+Iterations compiled-schedule replays and the checkpoint writes
-// between measured iterations. A step that takes virtual time hands resume
-// to its completion and returns; an iteration that completes inline
-// continues in the loop.
+// trainer drives a testbed run: a callback state machine over three
+// schedule programs — start-up, Warmup+Iterations replays of the iteration,
+// and a checkpoint save after every CheckpointEvery-th measured iteration.
+// A program that takes virtual time hands resume to its completion and
+// returns; one that completes inline continues in the loop.
 type trainer struct {
 	r      *Runner
 	res    *Result
 	stage  trainStage
-	iter   int        // iterations started, warm-up included
-	kind   trace.Kind // the blocking step's span kind, if traced
-	t0     sim.Time   // start of that span
-	done   bool       // reached the end of training
-	resume func()     // run, bound once
+	iter   int    // iterations started, warm-up included
+	done   bool   // reached the end of training
+	resume func() // run, bound once
 }
 
 // run continues the run from its stage until a step blocks or training
@@ -272,9 +264,7 @@ func (t *trainer) run() {
 		switch t.stage {
 		case trainStart:
 			t.stage = trainIterate
-			if op, rings, ok := r.startupCollective(); ok {
-				t.stage, t.kind, t.t0 = trainTraced, schedule.TraceKind(op), eng.Now()
-				r.world.StartRings(op, r.paramBytes, 0, rings, t.resume)
+			if !r.startup(t.resume) {
 				return
 			}
 		case trainIterate:
@@ -305,19 +295,10 @@ func (t *trainer) run() {
 				res.LastIterEnd = eng.Now()
 			}
 			if i >= 0 && cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-				// Each rank stages its shard of the FP16 weights to host
-				// memory, then writes its slice of model states.
-				t.stage = trainStaged
-				r.startRankFlows(trace.OffloadCopy, r.offloadCopyFlows(r.paramBytes/float64(cfg.WorldSize())), t.resume)
-				return
+				if !r.checkpoint(t.resume) {
+					return
+				}
 			}
-		case trainStaged:
-			t.stage, t.kind, t.t0 = trainTraced, trace.NVMeIO, eng.Now()
-			r.writeStates(t.resume)
-			return
-		case trainTraced:
-			r.traceAll(t.kind, t.t0, eng.Now())
-			t.stage = trainIterate
 		}
 	}
 }
@@ -373,22 +354,11 @@ func (h *housekeeper) run() {
 	cluster.Eng.Schedule(slice, h.resume)
 }
 
-// ---- start-up and checkpoint building blocks ----
+// ---- start-up and checkpoint programs ----
 
-// Training iterations run as compiled schedules (compile.go, executor.go);
-// the helpers below serve the work outside them: parameter initialization
-// before warm-up and checkpoint writes between iterations.
-
-// traceAll records one span on every rank's timeline. These spans carry no
-// iteration phase: they fall outside the compiled iteration program.
-func (r *Runner) traceAll(kind trace.Kind, start, end sim.Time) {
-	if !r.tr.Enabled() {
-		return
-	}
-	for rank := 0; rank < r.cfg.WorldSize(); rank++ {
-		r.tr.Add(rank, kind, start, end)
-	}
-}
+// Start-up and checkpoint saves run outside the iteration, as schedule
+// programs of their own replayed through the same executor (executor.go).
+// Their ops carry PhaseNone, a fresh Builder's phase.
 
 // eachGPU enumerates the cluster's GPUs with their global rank.
 func (r *Runner) eachGPU(fn func(rank int, g topology.GPU)) {
@@ -401,81 +371,39 @@ func (r *Runner) eachGPU(fn func(rank int, g topology.GPU)) {
 	}
 }
 
-// startRankFlows launches flows for every rank in one admission batch and
-// invokes done when all complete.
-func (r *Runner) startRankFlows(kind trace.Kind, mk func(rank int, g topology.GPU) []*fabric.Flow, done func()) {
-	flows := r.flowScratch[:0]
-	r.eachGPU(func(rank int, g topology.GPU) {
-		flows = append(flows, mk(rank, g)...)
-	})
-	r.flowScratch = flows
-	if len(flows) == 0 {
-		r.cluster.Eng.Schedule(0, done)
-		return
+// startupSchedule models job start-up: rank 0 materializes the weights and
+// replicates them — a broadcast of the FP16 parameters over two rings for
+// replicated strategies (PyTorch DDP broadcasts module buffers at
+// construction; DeepSpeed does the same for ZeRO-1/2), or a scatter of each
+// shard for partitioned parameters, which moves a one-ring reduce-scatter's
+// volume (DeepSpeed's partitioned phases use one NCCL channel). It returns
+// nil when each model-parallel rank loads its own slice (Megatron).
+// Start-up precedes the warm-up iterations and therefore never pollutes
+// measured statistics, but it exercises the start-up path the way a real
+// launcher does.
+func (r *Runner) startupSchedule() *schedule.Schedule {
+	if r.cfg.Strategy == Megatron {
+		return nil
 	}
-	t0 := r.cluster.Eng.Now()
-	remaining := len(flows)
-	r.cluster.Net.StartFlows(flows, func() {
-		remaining--
-		if remaining == 0 {
-			r.traceAll(kind, t0, r.cluster.Eng.Now())
-			done()
-		}
-	})
+	b := schedule.NewBuilder()
+	if r.prof.ParamShards > 1 {
+		b.Sync(collective.ReduceScatter, r.paramBytes, 0, 1)
+	} else {
+		b.Sync(collective.Broadcast, r.paramBytes, 0, 2)
+	}
+	return b.S
 }
 
-// offloadCopyFlows moves bytesPerRank between every GPU and host memory.
-// Half the staging lands on the GPU's local socket, half on the neighbour
-// (DeepSpeed's pinned buffers are not NUMA-aware), which is what puts offload
-// traffic on xGMI in the paper's Table IV.
-func (r *Runner) offloadCopyFlows(bytesPerRank float64) func(rank int, g topology.GPU) []*fabric.Flow {
-	return func(rank int, g topology.GPU) []*fabric.Flow {
-		local := r.cluster.GPUToCPU(g, g.Socket())
-		remote := r.cluster.GPUToCPU(g, 1-g.Socket())
-		return []*fabric.Flow{
-			local.Flow(fmt.Sprintf("offload/r%d/local", rank), bytesPerRank*(1-crossStagingFrac)),
-			remote.Flow(fmt.Sprintf("offload/r%d/remote", rank), bytesPerRank*crossStagingFrac),
-		}
-	}
-}
-
-// writeStates writes each rank's 16Ψ/N-byte slice of model states (FP32
-// master weights, momentum, variance, FP16 weights) to the scratch volume —
-// the save path of a real DeepSpeed job, after the weights have been staged
-// to host memory — and invokes done when every write lands.
-func (r *Runner) writeStates(done func()) {
-	stateBytes := 16 * r.psi / float64(r.cfg.WorldSize())
-	remaining := r.cfg.WorldSize()
-	r.eachGPU(func(rank int, g topology.GPU) {
-		r.ckptVol.IO(g.Socket(), stateBytes, true, func() {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		})
-	})
-}
-
-// startupCollective models job start-up: rank 0 materializes the weights
-// and replicates them — a broadcast of the FP16 parameters for replicated
-// strategies (PyTorch DDP broadcasts module buffers at construction;
-// DeepSpeed does the same for ZeRO-1/2), or a scatter of each shard for
-// partitioned parameters, which moves a ring reduce-scatter's volume. It
-// returns the collective over the parameters and its NCCL channel count (2
-// for fused framework collectives, 1 for DeepSpeed's partitioned phases),
-// or ok == false when each model-parallel rank loads its own slice
-// (Megatron). Start-up precedes the warm-up iterations and therefore never
-// pollutes measured statistics, but it exercises the start-up path the way
-// a real launcher does.
-func (r *Runner) startupCollective() (op collective.Op, rings int, ok bool) {
-	switch {
-	case r.cfg.Strategy == Megatron:
-		return 0, 0, false
-	case r.prof.ParamShards > 1:
-		return collective.ReduceScatter, 1, true
-	default:
-		return collective.Broadcast, 2, true
-	}
+// checkpointSchedule models a DeepSpeed checkpoint save: each rank stages
+// its 2Ψ/N-byte shard of the FP16 weights to host memory, then writes its
+// 16Ψ/N-byte slice of model states (FP32 master weights, momentum,
+// variance, FP16 weights) to the checkpoint volume.
+func (r *Runner) checkpointSchedule() *schedule.Schedule {
+	world := float64(r.cfg.WorldSize())
+	b := schedule.NewBuilder()
+	b.Xfer(trace.OffloadCopy, r.paramBytes/world)
+	b.NVMe(trace.NVMeIO, 16*r.psi/world, true)
+	return b.S
 }
 
 // zero3Overhead returns the per-layer-visit coordination cost of ZeRO-3's

@@ -290,7 +290,7 @@ func TestSerializeCommRewrite(t *testing.T) {
 	if enq == 0 {
 		t.Fatal("ZeRO-3 schedule compiled without stream collectives")
 	}
-	rw := orig.Apply(RewriteSerializeComm)
+	rw := orig.Apply(schedule.RewriteSerializeComm)
 	if got := count(rw, schedule.OpEnqueue) + count(rw, schedule.OpWaitSlot) + count(rw, schedule.OpBarrier); got != 0 {
 		t.Errorf("serialized schedule retains %d stream ops", got)
 	}
@@ -305,7 +305,7 @@ func TestSerializeCommRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := base
-	serial.Rewrite = RewriteSerializeComm
+	serial.Rewrite = schedule.RewriteSerializeComm
 	serialized, err := Run(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestSerializeCommRewrite(t *testing.T) {
 	}
 }
 
-// steadyReplayer builds cfg's runner, runs its start-up collective and four
+// steadyReplayer builds cfg's runner, runs its start-up program and four
 // iterations (compiling the schedule and warming every pool), and returns a
 // function that replays one more iteration and drains the engine. The huge
 // telemetry window keeps sample-series growth out of the measurement.
@@ -328,8 +328,7 @@ func steadyReplayer(tb testing.TB, cfg Config) func() {
 	}
 	eng := r.cluster.Eng
 	nop := func() {}
-	if op, rings, ok := r.startupCollective(); ok {
-		r.world.StartRings(op, r.paramBytes, 0, rings, nop)
+	if !r.startup(nop) {
 		eng.Run()
 	}
 	iterate := func() {

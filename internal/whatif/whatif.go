@@ -16,6 +16,7 @@ import (
 	"llmbw/internal/model"
 	"llmbw/internal/nvme"
 	"llmbw/internal/report"
+	"llmbw/internal/schedule"
 	"llmbw/internal/sim"
 	"llmbw/internal/stress"
 	"llmbw/internal/topology"
@@ -387,7 +388,7 @@ func PlatformReport(w io.Writer) error {
 
 // OverlapAblation quantifies the communication/computation overlap each
 // strategy's schedule buys: the same compiled iteration program is re-run
-// with the RewriteSerializeComm schedule rewrite, which turns every
+// with the schedule.RewriteSerializeComm rewrite, which turns every
 // stream-overlapped collective into an exposed synchronous one at its issue
 // point. The gap between a schedule and its serialized rewrite is the value
 // of DDP's gradient bucketing and ZeRO's prefetch pipelines — measured as a
@@ -410,7 +411,7 @@ func OverlapAblation() (overlapped, serialized []Point, err error) {
 		}
 		serial := c.cfg
 		serial.Model = base.Config.Model // same model for both runs
-		serial.Rewrite = train.RewriteSerializeComm
+		serial.Rewrite = schedule.RewriteSerializeComm
 		ser, err := runCfg(serial)
 		if err != nil {
 			return nil, nil, err
