@@ -101,9 +101,10 @@ bench:
 serve-smoke: build
 	./scripts/serve_smoke.sh
 
-## identity: build bwchar and sweep at REF and from the working tree and
-## compare their stdout byte for byte on the paper suite, the dc-train sweep
-## and a 27-cell datacenter grid (scripts/identity.sh). Not part of check:
+## identity: build bwchar, sweep, topoview and the examples at REF and from
+## the working tree and compare their stdout byte for byte on the paper
+## suite, the dc-train sweep, a 27-cell datacenter grid, three topoview
+## fabrics and five examples (scripts/identity.sh). Not part of check:
 ## a change that updates a golden for a stated reason must still land.
 identity:
 	@if [ -z "$(REF)" ]; then echo "usage: make identity REF=<commit>" >&2; exit 2; fi

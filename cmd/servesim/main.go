@@ -50,6 +50,17 @@ import (
 	"llmbw/internal/train"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection until exit. Bodies and responses stay unbounded: a long
+// /sweep?stream=1 must not be cut.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the daemon's HTTP server for handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "maximum simulations running concurrently; 1 serializes")
@@ -61,7 +72,7 @@ func main() {
 	train.SetRunCacheCap(*cacheCap)
 	serve.SetRunCacheCap(*serveCap)
 	srv := newServer(runner.ClampParallel(*parallel))
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := newHTTPServer(*addr, srv)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()

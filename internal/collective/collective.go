@@ -142,14 +142,9 @@ func NewGroup(c *topology.Cluster, ranks []topology.GPU) *Group {
 // Start launches the collective and calls onDone (from engine context) when
 // it completes. Payload semantics: for AllReduce/Broadcast/Reduce it is the
 // tensor size; for AllGather/ReduceScatter it is the full (unsharded) size.
+// It uses NCCL's dual-ring construction; see StartRings.
 func (g *Group) Start(op Op, payload float64, onDone func()) {
-	g.StartLimited(op, payload, 0, onDone)
-}
-
-// StartLimited is Start with an optional per-hop rate cap in bytes/s
-// (0 = unlimited). It uses NCCL's dual-ring construction; see StartRings.
-func (g *Group) StartLimited(op Op, payload, hopRateLimit float64, onDone func()) {
-	g.StartRings(op, payload, hopRateLimit, 2, onDone)
+	g.StartRings(op, payload, 0, 2, onDone)
 }
 
 // StartRings launches the collective over the given number of rings (1 or

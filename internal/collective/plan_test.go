@@ -182,7 +182,9 @@ func TestPlanRefreshesCapsOnCapacityChange(t *testing.T) {
 	run := func(compiled bool) sim.Time {
 		c := topology.New(topology.DefaultConfig(2))
 		g := NewGroup(c, NodeMajorRanks(2, 4))
-		start := g.StartLimited
+		start := func(op Op, payload, limit float64, onDone func()) {
+			g.StartRings(op, payload, limit, 2, onDone)
+		}
 		if !compiled {
 			start = func(op Op, payload, limit float64, onDone func()) {
 				g.referenceStartRings(op, payload, limit, 2, onDone)
@@ -218,7 +220,7 @@ func TestPlanRefreshesCapsOnCapacityChange(t *testing.T) {
 		g := NewGroup(c, NodeMajorRanks(2, 4))
 		start := func(onDone func()) {
 			if compiled {
-				g.StartLimited(AllReduce, 2e9, 0, onDone)
+				g.StartRings(AllReduce, 2e9, 0, 2, onDone)
 			} else {
 				g.referenceStartRings(AllReduce, 2e9, 0, 2, onDone)
 			}

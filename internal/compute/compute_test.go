@@ -68,7 +68,7 @@ func TestAttainedThroughputCalibration(t *testing.T) {
 	var total sim.Time
 	for i := 0; i < gpt.Layers; i++ {
 		total += g.KernelTime(gpt.LayerForwardFLOPs(16))
-		total += g.KernelTime(gpt.LayerBackwardFLOPs(16))
+		total += g.KernelTime(2 * gpt.LayerForwardFLOPs(16))
 	}
 	total += g.KernelTime(gpt.HeadForwardFLOPs(16))
 	total += g.KernelTime(2 * gpt.HeadForwardFLOPs(16))

@@ -139,17 +139,6 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q (have %v)", id, ids)
 }
 
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, opt Options) error {
-	for _, e := range Experiments() {
-		fmt.Fprintf(w, "\n######## %s — %s ########\n", e.ID, e.Title)
-		if err := e.Run(w, opt); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
-}
-
 // MaxModel returns the largest model a training configuration fits,
 // mirroring the paper's procedure of growing the layer count to the limit.
 func MaxModel(cfg train.Config) model.GPT {

@@ -151,19 +151,6 @@ func TestRunForDurationSizesIterations(t *testing.T) {
 	}
 }
 
-func TestRunAllSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll is slow")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf, fastOpts); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(buf.String(), "\n######## "); n != 20 {
-		t.Errorf("RunAll printed %d section markers, want 20", n)
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Iterations == 0 || o.Warmup == 0 || o.PatternSeconds == 0 || o.StressSeconds == 0 {

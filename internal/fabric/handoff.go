@@ -11,11 +11,11 @@ import (
 // sharded simulation: a source-side flow over the sender's links, a fixed
 // wire latency crossing the shard boundary, then a destination-side flow
 // over the receiver's links. The wire latency must be at or above the
-// Connect-declared lookahead of the shard edge — that is the contract that
-// lets the two shards' fair-share computations stay decoupled and the
-// parallel engine stay byte-identical to serial. (A single fluid flow whose
-// path spans both partitions would couple their rate allocations with zero
-// lookahead; such traffic cannot be sharded and must run on one shard.)
+// sharded engine's lookahead — that is the contract that lets the two
+// shards' fair-share computations stay decoupled and the parallel engine
+// stay byte-identical to serial. (A single fluid flow whose path spans both
+// partitions would couple their rate allocations with zero lookahead; such
+// traffic cannot be sharded and must run on one shard.)
 //
 // Transfer records are pooled with bound-once closures, so a steady stream
 // of handoffs allocates nothing. The pool is the one piece of state both
@@ -51,19 +51,15 @@ type handoffXfer struct {
 
 // NewHandoff creates a handoff channel from shard from to shard to of se
 // with the given wire latency, moving bytes off network src onto network dst.
-// Between distinct shards the edge must have been Connected and the latency
-// must respect its lookahead. A same-shard handoff runs the hop as a plain
-// local delay, so both networks must share that shard's engine.
+// Between distinct shards the latency must respect the engine's lookahead.
+// A same-shard handoff runs the hop as a plain local delay, so both networks
+// must share that shard's engine.
 func NewHandoff(se *sim.ShardedEngine, from, to int, latency sim.Time, src, dst *Network) *Handoff {
 	if latency < 0 {
 		panic(fmt.Sprintf("fabric: negative handoff latency %v", latency))
 	}
 	if from != to {
-		la, ok := se.Lookahead(from, to)
-		if !ok {
-			panic(fmt.Sprintf("fabric: handoff %d->%d without a Connect edge", from, to))
-		}
-		if latency < la {
+		if la := se.Lookahead(); latency < la {
 			panic(fmt.Sprintf("fabric: handoff %d->%d latency %v below lookahead %v", from, to, latency, la))
 		}
 	} else if src.eng != dst.eng {

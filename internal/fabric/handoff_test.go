@@ -21,7 +21,7 @@ type handoffRig struct {
 const handoffLat = 3 * sim.Microsecond
 
 func newHandoffRig(shards int) *handoffRig {
-	r := &handoffRig{se: sim.NewSharded(shards)}
+	r := &handoffRig{se: sim.NewSharded(shards, handoffLat)}
 	shardOf := func(side int) int {
 		if shards > 1 {
 			return side
@@ -34,10 +34,6 @@ func newHandoffRig(shards int) *handoffRig {
 		// The huge telemetry window keeps the counter to one bucket so the
 		// steady-state allocation pin isn't confused by bucket growth.
 		r.links[side] = NewLink(fmt.Sprintf("n%d/nic", side), RoCE, side, 10e9, sim.Time(1)<<40)
-	}
-	if shards > 1 {
-		r.se.Connect(0, 1, handoffLat)
-		r.se.Connect(1, 0, handoffLat)
 	}
 	r.fwd = NewHandoff(r.se, shardOf(0), shardOf(1), handoffLat, r.nets[0], r.nets[1])
 	r.rev = NewHandoff(r.se, shardOf(1), shardOf(0), handoffLat, r.nets[1], r.nets[0])
@@ -174,12 +170,10 @@ func TestHandoffContractPanics(t *testing.T) {
 		}()
 		f()
 	}
-	se := sim.NewSharded(2)
+	se := sim.NewSharded(2, 100)
 	n0 := NewNetwork(se.Shard(0))
 	n1 := NewNetwork(se.Shard(1))
-	se.Connect(0, 1, 100)
 	mustPanic("latency below lookahead", func() { NewHandoff(se, 0, 1, 50, n0, n1) })
-	mustPanic("missing edge", func() { NewHandoff(se, 1, 0, 100, n1, n0) })
 	mustPanic("negative latency", func() { NewHandoff(se, 0, 0, -1, n0, n0) })
 	mustPanic("same-shard handoff across engines", func() { NewHandoff(se, 0, 0, 10, n0, n1) })
 }

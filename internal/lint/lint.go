@@ -365,11 +365,12 @@ func DefaultConfig() Config {
 			"llmbw/internal/serve", "llmbw/internal/telemetry",
 		}},
 		// Conservative PDES merge order and handoff wire hops rely on
-		// strictly positive lookahead; a zero reaching Connect or NewHandoff
-		// only surfaces as a panic (or a nondeterministic merge) much later.
+		// strictly positive lookahead; a zero reaching NewSharded or
+		// NewHandoff only surfaces as a panic (or a nondeterministic merge)
+		// much later.
 		"lookahead-positive": {
 			Options: map[string]string{
-				"sites": "llmbw/internal/sim.ShardedEngine.Connect@2," +
+				"sites": "llmbw/internal/sim.NewSharded@1," +
 					"llmbw/internal/fabric.NewHandoff@3",
 			},
 		},

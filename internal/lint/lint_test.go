@@ -29,7 +29,7 @@ func fixtureConfig() Config {
 		}},
 		"steady-alloc": {},
 		"lookahead-positive": {Options: map[string]string{
-			"sites": "fixture/lookahead.Engine.Connect@2",
+			"sites": "fixture/lookahead.Engine.Link@2",
 		}},
 		"unused-suppression": {},
 	}}

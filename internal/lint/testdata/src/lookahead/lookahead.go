@@ -10,8 +10,8 @@ const wire = 5 * Nanosecond
 
 type Engine struct{ edges int }
 
-// Connect is the configured site (argument index 2).
-func (e *Engine) Connect(from, to int, lookahead Time) {
+// Link is the configured site (argument index 2).
+func (e *Engine) Link(from, to int, lookahead Time) {
 	if lookahead < Nanosecond {
 		panic("lookahead must be positive")
 	}
@@ -20,18 +20,18 @@ func (e *Engine) Connect(from, to int, lookahead Time) {
 
 // Good passes a positive constant.
 func Good(e *Engine) {
-	e.Connect(0, 1, wire)
+	e.Link(0, 1, wire)
 }
 
 // GoodArith passes an arithmetic combination of positives.
 func GoodArith(e *Engine) {
-	e.Connect(0, 1, wire*2+Nanosecond)
+	e.Link(0, 1, wire*2+Nanosecond)
 }
 
 // GoodTraced traces a local back to a positive constant.
 func GoodTraced(e *Engine) {
 	l := wire * 2
-	e.Connect(0, 1, l)
+	e.Link(0, 1, l)
 }
 
 // defaultLook returns a provably positive value.
@@ -39,7 +39,7 @@ func defaultLook() Time { return 4 * Nanosecond }
 
 // GoodCall trusts the callee's all-returns-positive summary.
 func GoodCall(e *Engine) {
-	e.Connect(0, 1, defaultLook())
+	e.Link(0, 1, defaultLook())
 }
 
 // GoodParam is protected by a dominating guard.
@@ -47,7 +47,7 @@ func GoodParam(e *Engine, look Time) {
 	if look < Nanosecond {
 		panic("bad lookahead")
 	}
-	e.Connect(0, 1, look)
+	e.Link(0, 1, look)
 }
 
 type Config struct{ Look Time }
@@ -57,25 +57,25 @@ func NewConfig() Config { return Config{Look: 8 * Nanosecond} }
 
 // GoodField relies on the whole-module field write audit.
 func GoodField(e *Engine, c Config) {
-	e.Connect(0, 1, c.Look)
+	e.Link(0, 1, c.Look)
 }
 
 // BadZero passes a zero constant.
 func BadZero(e *Engine) {
-	e.Connect(0, 1, 0) // want lookahead-positive
+	e.Link(0, 1, 0) // want lookahead-positive
 }
 
 // BadParam passes an unguarded parameter.
 func BadParam(e *Engine, look Time) {
-	e.Connect(0, 1, look) // want lookahead-positive
+	e.Link(0, 1, look) // want lookahead-positive
 }
 
 // BadDiff passes a difference, which positivity cannot see through.
 func BadDiff(e *Engine, a Time) {
-	e.Connect(0, 1, wire-a) // want lookahead-positive
+	e.Link(0, 1, wire-a) // want lookahead-positive
 }
 
 // AllowedDynamic defers validation to the caller's parser.
 func AllowedDynamic(e *Engine, look Time) {
-	e.Connect(0, 1, look) //lint:allow lookahead-positive — validated by the config parser upstream
+	e.Link(0, 1, look) //lint:allow lookahead-positive — validated by the config parser upstream
 }

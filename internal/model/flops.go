@@ -19,12 +19,6 @@ func (g GPT) LayerForwardFLOPs(batch int) float64 {
 	return gemm + attn
 }
 
-// LayerBackwardFLOPs is the standard 2× forward (grad wrt inputs and
-// weights).
-func (g GPT) LayerBackwardFLOPs(batch int) float64 {
-	return 2 * g.LayerForwardFLOPs(batch)
-}
-
 // HeadForwardFLOPs returns forward FLOPs of the output projection to the
 // vocabulary (tied embedding GEMM), which is significant for small layer
 // counts.

@@ -108,10 +108,14 @@ func TestRecomputeAddsOneForward(t *testing.T) {
 	}
 }
 
+// TestBackwardIsTwiceForward pins the FLOPs census: an iteration without
+// recomputation counts the forward pass (every layer plus the LM head) and
+// a backward pass of twice its FLOPs.
 func TestBackwardIsTwiceForward(t *testing.T) {
 	g := NewGPT(3)
-	if g.LayerBackwardFLOPs(8) != 2*g.LayerForwardFLOPs(8) {
-		t.Error("backward != 2x forward")
+	fwd := 3*g.LayerForwardFLOPs(8) + g.HeadForwardFLOPs(8)
+	if got := g.IterationFLOPs(8, 1, false); got != fwd+2*fwd {
+		t.Errorf("iteration FLOPs = %v, want forward %v plus twice that", got, fwd)
 	}
 }
 
@@ -143,37 +147,5 @@ func TestStringRendering(t *testing.T) {
 	s := NewGPT(26).String()
 	if s == "" {
 		t.Error("empty String()")
-	}
-}
-
-func TestPresets(t *testing.T) {
-	ps := Presets()
-	if len(ps) < 10 {
-		t.Fatalf("presets = %d, want >=10", len(ps))
-	}
-	seen := map[string]bool{}
-	for _, p := range ps {
-		if seen[p.Name] {
-			t.Errorf("duplicate preset %s", p.Name)
-		}
-		seen[p.Name] = true
-		if err := p.GPT.Validate(); err != nil {
-			t.Errorf("preset %s invalid: %v", p.Name, err)
-		}
-	}
-	// Published sizes sanity: GPT-2 small ~124M, GPT-3 6.7B ~6.7B.
-	small, ok := PresetByName("gpt2-small")
-	if !ok {
-		t.Fatal("gpt2-small missing")
-	}
-	if b := small.ParamsB(); b < 0.1 || b > 0.15 {
-		t.Errorf("gpt2-small = %.3fB, want ~0.124", b)
-	}
-	g67, _ := PresetByName("gpt3-6.7b")
-	if b := g67.ParamsB(); b < 6 || b > 7.5 {
-		t.Errorf("gpt3-6.7b = %.2fB", b)
-	}
-	if _, ok := PresetByName("nope"); ok {
-		t.Error("unknown preset found")
 	}
 }

@@ -170,19 +170,5 @@ func (v *Volume) IO(socket int, bytes float64, write bool, onDone func()) {
 	}
 }
 
-// SustainedRead returns the volume's aggregate sustained throughput as seen
-// from the given socket (used for quick capacity estimates in reports).
-func (v *Volume) SustainedRead(socket int) float64 {
-	total := 0.0
-	for _, d := range v.Drives {
-		if d.Spec.Socket == socket {
-			total += SustainedBW
-		} else {
-			total += CrossNUMAEff * SustainedBW
-		}
-	}
-	return total
-}
-
 // Capacity returns total usable bytes.
 func (v *Volume) Capacity() float64 { return CapacityBytes * float64(len(v.Drives)) }

@@ -128,15 +128,6 @@ func TestSpanningRAIDTouchesXGMI(t *testing.T) {
 	}
 }
 
-func TestSustainedReadEstimate(t *testing.T) {
-	_, vols := clusterFor(ConfigC())
-	v := vols[0]
-	want := SustainedBW + CrossNUMAEff*SustainedBW
-	if got := v.SustainedRead(1); !almost(got, want, 1) {
-		t.Errorf("SustainedRead = %v, want %v", got, want)
-	}
-}
-
 func TestVolumeCapacity(t *testing.T) {
 	_, vols := clusterFor(ConfigB())
 	if got := vols[0].Capacity(); got != 2*CapacityBytes {

@@ -37,13 +37,6 @@ func TestTripleAndDelta(t *testing.T) {
 	if Triple(1.234, 5.6, 7.89) != "1.234/5.6/7.89" {
 		t.Errorf("Triple = %q", Triple(1.234, 5.6, 7.89))
 	}
-	d := Delta(110, 100)
-	if !strings.Contains(d, "+10%") {
-		t.Errorf("Delta = %q", d)
-	}
-	if !strings.Contains(Delta(5, 0), "paper 0") {
-		t.Error("Delta with zero paper value broken")
-	}
 }
 
 func TestSameOrder(t *testing.T) {

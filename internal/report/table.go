@@ -95,14 +95,6 @@ func Triple(avg, p90, peak float64) string {
 	return fmt.Sprintf("%.4g/%.4g/%.4g", avg, p90, peak)
 }
 
-// Delta formats a measured-vs-paper comparison with the relative deviation.
-func Delta(measured, paper float64) string {
-	if paper == 0 {
-		return fmt.Sprintf("%.4g (paper 0)", measured)
-	}
-	return fmt.Sprintf("%.4g (paper %.4g, %+.0f%%)", measured, paper, (measured/paper-1)*100)
-}
-
 // SameOrder reports whether two slices of values sort their keys in the same
 // order — the "who wins" shape check applied to regenerated tables.
 func SameOrder(measured, paper []float64) bool {

@@ -11,7 +11,7 @@
 // sinks) is resolved at executor construction through the Env interface, so
 // one compiled Schedule serves every run and every concurrent executor of
 // the same shape. internal/train is its client: a testbed training run
-// replays its start-up, iteration and checkpoint programs through it.
+// replays its start-up and iteration programs through it.
 package schedule
 
 import (
@@ -79,7 +79,7 @@ const (
 	// OpBarrier blocks until the stream's tail operation completes.
 	OpBarrier
 	// OpXfer runs a blocking pooled flow set sized by Op.Bytes (offload
-	// staging copies, checkpoint staging).
+	// staging copies).
 	OpXfer
 	// OpPacedFlows starts a fire-and-forget pooled flow set and blocks for
 	// Op.Dur (a paced host-side step whose memory traffic spreads over its

@@ -195,9 +195,7 @@ func TestLaneInjectionAfterLocalInstant(t *testing.T) {
 	for _, stopMidInstant := range []bool{false, true} {
 		for _, parallel := range []bool{false, true} {
 			setSharded(t, parallel)
-			se := NewSharded(2)
-			se.Connect(0, 1, L)
-			se.Connect(1, 0, L)
+			se := NewSharded(2, L)
 			sh0, sh1 := se.Shard(0), se.Shard(1)
 			var log []string
 			rec := func(name string) func() {

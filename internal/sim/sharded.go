@@ -51,25 +51,20 @@ type injection struct {
 // ShardedEngine partitions one simulation across per-partition sub-engines
 // that advance under conservative lookahead. Each shard owns its links,
 // flows and machines outright; the only cross-shard influence is an
-// explicit Inject over a Connect-declared edge, whose lookahead lower-bounds
-// the delivery delay. That bound is what makes windows safe: shard i may
-// execute every event strictly before
+// explicit Inject, delivered at least the engine's one lookahead L after the
+// sender's clock. That bound is what makes windows safe: shard i may execute
+// every event strictly before
 //
-//	h(i) = min( min_{j≠i} next(j) + dist(j,i),  next(i) + cyc(i) )
+//	h(i) = min( min_{j≠i} next(j) + L,  next(i) + 2L )
 //
-// where next(j) is shard j's earliest pending event or armed timer, dist is
-// the all-pairs shortest path over declared lookaheads, and cyc(i) is the
-// shortest cycle through i — the earliest time shard i's own future sends
-// could loop back via other shards. No injection can arrive below h(i), so
-// the window's event order equals the serial merge order and the two modes
-// produce byte-identical output.
+// where next(j) is shard j's earliest pending event or armed timer. The
+// second term, present with two or more shards, is the earliest time shard
+// i's own future sends could loop back through another shard. No injection
+// can arrive below h(i), so the window's event order equals the serial
+// merge order and the two modes produce byte-identical output.
 type ShardedEngine struct {
-	shards []*Engine
-
-	la        [][]Time // declared lookahead edges; maxTime = not connected
-	dist      [][]Time // all-pairs shortest path over la
-	cyc       []Time   // shortest cycle through each shard
-	distDirty bool
+	shards    []*Engine
+	lookahead Time // least delay of every cross-shard injection
 
 	injSeq []int64 // per-source injection counters (source-owned)
 
@@ -96,32 +91,31 @@ type ShardedEngine struct {
 	next []Time // scratch: earliest pending event or armed timer per shard
 }
 
-// NewSharded returns a sharded engine with n sub-engines and no connectivity:
-// shards are fully independent until Connect declares lookahead edges.
-func NewSharded(n int) *ShardedEngine {
+// NewSharded returns a sharded engine with n sub-engines, any of which may
+// inject into any other at least lookahead after its own clock. The
+// lookahead must be positive: a zero delay would collapse the window to
+// nothing (and a zero-latency coupling — e.g. two shards sharing a fluid
+// fair-share component — cannot be sharded conservatively at all; keep it
+// on one shard).
+func NewSharded(n int, lookahead Time) *ShardedEngine {
 	if n < 1 || n > MaxShards {
 		panic(fmt.Sprintf("sim: shard count %d outside 1-%d", n, MaxShards))
 	}
+	if lookahead < Nanosecond {
+		panic(fmt.Sprintf("sim: lookahead %v must be positive", lookahead))
+	}
 	se := &ShardedEngine{
-		shards: make([]*Engine, n),
-		la:     make([][]Time, n),
-		dist:   make([][]Time, n),
-		cyc:    make([]Time, n),
-		injSeq: make([]int64, n),
-		outbox: make([][]injection, n),
-		work:   make([]chan Time, n),
-		done:   make(chan int, n),
-		next:   make([]Time, n),
+		shards:    make([]*Engine, n),
+		lookahead: lookahead,
+		injSeq:    make([]int64, n),
+		outbox:    make([][]injection, n),
+		work:      make([]chan Time, n),
+		done:      make(chan int, n),
+		next:      make([]Time, n),
 	}
 	for i := range se.shards {
 		se.shards[i] = New()
-		se.la[i] = make([]Time, n)
-		se.dist[i] = make([]Time, n)
-		for j := range se.la[i] {
-			se.la[i][j] = maxTime
-		}
 	}
-	se.distDirty = true
 	return se
 }
 
@@ -132,47 +126,15 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // Shards returns the shard count.
 func (se *ShardedEngine) Shards() int { return len(se.shards) }
 
-// Connect declares that shard from may inject events into shard to with at
-// least lookahead delay. Tighter declarations win. The lookahead must be
-// positive: a zero-delay edge would collapse the window to nothing (and a
-// zero-latency coupling — e.g. two shards sharing a fluid fair-share
-// component — cannot be sharded conservatively at all; keep it on one
-// shard).
-func (se *ShardedEngine) Connect(from, to int, lookahead Time) {
-	se.checkShard(from)
-	se.checkShard(to)
-	if from == to {
-		panic("sim: self lookahead edge is implicit")
-	}
-	if lookahead < Nanosecond {
-		panic(fmt.Sprintf("sim: lookahead %v must be positive", lookahead))
-	}
-	if se.inWindow {
-		panic("sim: Connect during a parallel window")
-	}
-	if lookahead < se.la[from][to] {
-		se.la[from][to] = lookahead
-		se.distDirty = true
-	}
-}
-
-// Lookahead returns the declared edge lookahead, or false when the edge was
-// never Connected.
-func (se *ShardedEngine) Lookahead(from, to int) (Time, bool) {
-	se.checkShard(from)
-	se.checkShard(to)
-	if se.la[from][to] >= maxTime {
-		return 0, false
-	}
-	return se.la[from][to], true
-}
+// Lookahead returns the least delay of a cross-shard injection.
+func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
 
 // Inject schedules fn on shard to, delay nanoseconds after shard from's
 // clock. It must be called from shard from's execution context (an event
-// running on that shard). The delay must respect the Connected
-// edge's lookahead — that promise is the entire basis of the parallel mode's
-// correctness, so violations panic rather than corrupt determinism. A
-// same-shard injection degenerates to a plain Schedule.
+// running on that shard). The delay must respect the engine's lookahead —
+// that promise is the entire basis of the parallel mode's correctness, so
+// violations panic rather than corrupt determinism. A same-shard injection
+// degenerates to a plain Schedule.
 func (se *ShardedEngine) Inject(from, to int, delay Time, fn func()) {
 	se.checkShard(from)
 	se.checkShard(to)
@@ -183,12 +145,8 @@ func (se *ShardedEngine) Inject(from, to int, delay Time, fn func()) {
 		se.shards[from].Schedule(delay, fn)
 		return
 	}
-	la := se.la[from][to]
-	if la >= maxTime {
-		panic(fmt.Sprintf("sim: inject %d->%d without a Connect edge", from, to))
-	}
-	if delay < la {
-		panic(fmt.Sprintf("sim: inject %d->%d delay %v below lookahead %v", from, to, delay, la))
+	if delay < se.lookahead {
+		panic(fmt.Sprintf("sim: inject %d->%d delay %v below lookahead %v", from, to, delay, se.lookahead))
 	}
 	n := se.injSeq[from]
 	if n >= maxInjSeq {
@@ -285,13 +243,12 @@ func (se *ShardedEngine) runSerial(deadline Time) Time {
 
 // runParallel advances shards in conservative bounded-lag windows: compute
 // each shard's horizon from every shard's earliest pending event and the
-// lookahead distances, dispatch shards with work below their horizon to
+// lookahead, dispatch shards with work below their horizon to
 // their workers, barrier, drain outboxes, repeat. Progress is guaranteed —
 // the globally earliest event is always below its shard's horizon because
-// every lookahead is at least 1ns.
+// the lookahead is at least 1ns.
 func (se *ShardedEngine) runParallel(deadline Time) Time {
 	se.ensureWorkers()
-	se.refreshDist()
 	limit := deadline + 1 // windows are strict-<, so at <= deadline executes
 	for {
 		work := false
@@ -340,64 +297,26 @@ func (se *ShardedEngine) runParallel(deadline Time) Time {
 }
 
 // horizon returns the earliest virtual time at which a not-yet-executed
-// event anywhere could influence shard i. Forwarding chains are covered by
-// the shortest-path distances: an event k will relay via j arrives at i no
-// earlier than next(k) + dist(k,j) + dist(j,i) >= next(k) + dist(k,i).
+// event anywhere could influence shard i. A forwarding chain k → j → i
+// arrives no earlier than next(k) + 2L, so the direct term already bounds
+// it.
 func (se *ShardedEngine) horizon(i int) Time {
 	h := maxTime
-	for j := range se.shards {
-		if j == i {
-			continue
-		}
-		if d := se.dist[j][i]; d < maxTime && se.next[j] < maxTime {
-			if c := se.next[j] + d; c < h {
-				h = c
-			}
+	for j, t := range se.next {
+		if j != i && t < maxTime && t+se.lookahead < h {
+			h = t + se.lookahead
 		}
 	}
-	// Shard i's own future sends can loop back through other shards: even
-	// with every neighbor idle, events of i beyond next(i) + cyc(i) are not
-	// safe. With no cycle through i (e.g. no edges at all), cyc is maxTime
-	// and an idle neighborhood lets i run to completion in one window.
-	if cy := se.cyc[i]; cy < maxTime && se.next[i] < maxTime {
-		if c := se.next[i] + cy; c < h {
+	// Shard i's own future sends can loop back through another shard: even
+	// with every other shard idle, events of i beyond next(i) + 2L are not
+	// safe. A lone shard has no cycle, so it runs to completion in one
+	// window.
+	if len(se.shards) > 1 && se.next[i] < maxTime {
+		if c := se.next[i] + 2*se.lookahead; c < h {
 			h = c
 		}
 	}
 	return h
-}
-
-// refreshDist recomputes all-pairs shortest paths over the lookahead edges
-// (Floyd-Warshall). The diagonal is seeded unreachable, not zero, so the
-// recurrence computes the shortest closed walk through each shard — with
-// positive weights that is exactly the shortest cycle, which the horizon's
-// self-feedback term needs.
-func (se *ShardedEngine) refreshDist() {
-	if !se.distDirty {
-		return
-	}
-	se.distDirty = false
-	n := len(se.shards)
-	for i := 0; i < n; i++ {
-		copy(se.dist[i], se.la[i])
-		se.dist[i][i] = maxTime
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := se.dist[i][k]
-			if dik >= maxTime {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if dkj := se.dist[k][j]; dkj < maxTime && dik+dkj < se.dist[i][j] {
-					se.dist[i][j] = dik + dkj
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		se.cyc[i] = se.dist[i][i]
-	}
 }
 
 // drainOutboxes delivers the windows' buffered injections in source-shard

@@ -56,8 +56,8 @@ func shardedSteadyWorkload(sc *topology.DCShardedCluster) {
 // BenchmarkShardedEngineSteady measures steady-state wall-clock throughput
 // of the sharded engine across fabric and shard sizes. pod=1 makes every
 // node a partition seam, so every shard count is realizable. The 1-shard
-// rows are the serial baseline (one shard has no lookahead edges, so the
-// whole run is a single full-speed window); the speedup of the 4-shard row
+// rows are the serial baseline (a lone shard has no cross-shard cycle, so
+// the whole run is a single full-speed window); the speedup of the 4-shard row
 // over it at 16 nodes is the headline number of the parallel engine.
 func BenchmarkShardedEngineSteady(b *testing.B) {
 	for _, nodes := range []int{2, 8, 16} {

@@ -42,17 +42,10 @@ func (nd *shardedNode) event(k int) {
 	}
 }
 
-// buildWorkload wires n fully connected shards, each seeded with a chain of
-// local events that fan out cross-shard injections.
+// buildWorkload builds n shards, each seeded with a chain of local events
+// that fan out cross-shard injections.
 func buildWorkload(n int) []*shardedNode {
-	se := NewSharded(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				se.Connect(i, j, nodeLookahead)
-			}
-		}
-	}
+	se := NewSharded(n, nodeLookahead)
 	nodes := make([]*shardedNode, n)
 	for i := range nodes {
 		nodes[i] = &shardedNode{se: se, id: i, rng: uint64(i)*2654435761 + 12345}
@@ -145,7 +138,7 @@ func TestShardedRunUntilMatchesSerial(t *testing.T) {
 func TestShardedRunUntilBelowClock(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		setSharded(t, parallel)
-		se := NewSharded(2)
+		se := NewSharded(2, 10)
 		defer se.Close()
 		se.Shard(0).ScheduleAt(5, func() {})
 		se.Shard(0).ScheduleAt(10, func() {})
@@ -164,11 +157,9 @@ func TestShardedRunUntilBelowClock(t *testing.T) {
 func TestInjectionOrdering(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		setSharded(t, parallel)
-		se := NewSharded(3)
-		defer se.Close()
 		const L = Time(50)
-		se.Connect(1, 0, L-10)
-		se.Connect(2, 0, L)
+		se := NewSharded(3, L-10)
+		defer se.Close()
 		var order []string
 		// Shard 2's seed runs before shard 1's (lower timestamp), so its
 		// injection is buffered first; the seq band must still deliver
@@ -188,9 +179,9 @@ func TestInjectionOrdering(t *testing.T) {
 	}
 }
 
-// TestInjectContractPanics locks in the guard rails: undeclared edges,
-// delays below the declared lookahead, and bad shard indices all panic
-// rather than silently break determinism.
+// TestInjectContractPanics locks in the guard rails: delays below the
+// lookahead, a lookahead below 1ns, and bad shard indices all panic rather
+// than silently break determinism.
 func TestInjectContractPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -201,31 +192,48 @@ func TestInjectContractPanics(t *testing.T) {
 		}()
 		f()
 	}
-	se := NewSharded(2)
-	se.Connect(0, 1, 10)
-	mustPanic("inject without edge", func() { se.Inject(1, 0, 10, func() {}) })
+	se := NewSharded(2, 10)
 	mustPanic("inject below lookahead", func() { se.Inject(0, 1, 9, func() {}) })
 	mustPanic("inject nil fn", func() { se.Inject(0, 1, 10, nil) })
 	mustPanic("inject bad shard", func() { se.Inject(0, 7, 10, func() {}) })
-	mustPanic("connect self edge", func() { se.Connect(0, 0, 10) })
-	mustPanic("connect zero lookahead", func() { se.Connect(1, 0, 0) })
-	mustPanic("zero shards", func() { NewSharded(0) })
+	mustPanic("zero lookahead", func() { NewSharded(2, 0) })
+	mustPanic("zero shards", func() { NewSharded(0, 10) })
 }
 
-// TestLookaheadAccessors covers Connect's tighter-edge-wins rule.
+// TestLookaheadAccessors: the engine reports the lookahead it was built
+// with, the bound NewHandoff checks its wire latency against.
 func TestLookaheadAccessors(t *testing.T) {
-	se := NewSharded(2)
-	if _, ok := se.Lookahead(0, 1); ok {
-		t.Error("edge reported before Connect")
+	for _, la := range []Time{1, 30, Microsecond} {
+		if got := NewSharded(2, la).Lookahead(); got != la {
+			t.Errorf("NewSharded(2, %v).Lookahead() = %v", la, got)
+		}
 	}
-	se.Connect(0, 1, 30)
-	se.Connect(0, 1, 50) // looser: ignored
-	if la, ok := se.Lookahead(0, 1); !ok || la != 30 {
-		t.Errorf("lookahead = %v,%v after 30 then 50, want 30,true", la, ok)
-	}
-	se.Connect(0, 1, 20)
-	if la, _ := se.Lookahead(0, 1); la != 20 {
-		t.Errorf("lookahead = %v after tightening to 20", la)
+}
+
+// TestShardedFeedbackCycle pins the horizon's self-cycle term: shard 0
+// sends to an idle shard 1, which answers at exactly the lookahead, so the
+// answer lands on shard 0 at 2L, ahead of shard 0's own event at 2L+1. A
+// window that let shard 0 run past next(0)+2L would execute that event
+// first and receive the answer in its past.
+func TestShardedFeedbackCycle(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		setSharded(t, parallel)
+		const L = Time(100)
+		se := NewSharded(2, L)
+		defer se.Close()
+		sh0 := se.Shard(0)
+		var log []string
+		rec := func(name string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s@%d", name, sh0.Now())) }
+		}
+		sh0.Schedule(0, func() {
+			se.Inject(0, 1, L, func() { se.Inject(1, 0, L, rec("answer")) })
+		})
+		sh0.ScheduleAt(2*L+1, rec("local"))
+		se.Run()
+		if got, want := fmt.Sprint(log), "[answer@200 local@201]"; got != want {
+			t.Errorf("parallel=%v: shard 0 ran %s, want %s", parallel, got, want)
+		}
 	}
 }
 
@@ -237,10 +245,9 @@ func TestLookaheadAccessors(t *testing.T) {
 func TestShardedProcs(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		setSharded(t, parallel)
-		se := NewSharded(2)
-		defer se.Close()
 		const L = Time(1000)
-		se.Connect(0, 1, L)
+		se := NewSharded(2, L)
+		defer se.Close()
 		released := false // shard-1-owned
 		var doneAt Time
 		gate := se.Shard(1)
@@ -267,15 +274,13 @@ func TestShardedProcs(t *testing.T) {
 }
 
 // TestShardedStop checks Stop ends a run early in both modes and that a
-// subsequent Run resumes the remaining events. The lookahead edges bound the
+// subsequent Run resumes the remaining events. The lookahead bounds the
 // first window below shard 1's event so neither mode runs it eagerly.
 func TestShardedStop(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		setSharded(t, parallel)
-		se := NewSharded(2)
+		se := NewSharded(2, 100)
 		defer se.Close()
-		se.Connect(0, 1, 100)
-		se.Connect(1, 0, 100)
 		ran0, ran1 := false, false
 		se.Shard(0).Schedule(10, func() { ran0 = true; se.Stop() })
 		se.Shard(1).Schedule(10_000, func() { ran1 = true })
@@ -296,8 +301,7 @@ func TestShardedStop(t *testing.T) {
 // relaunch lazily), then close again.
 func TestShardedCloseIdempotent(t *testing.T) {
 	setSharded(t, true)
-	se := NewSharded(2)
-	se.Connect(0, 1, 10)
+	se := NewSharded(2, 10)
 	se.Shard(0).Schedule(0, func() { se.Inject(0, 1, 10, func() {}) })
 	se.Run()
 	se.Close()
@@ -314,11 +318,9 @@ func TestShardedCloseIdempotent(t *testing.T) {
 // crossing shards every window, driven through sliced RunUntil calls.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	setSharded(t, true)
-	se := NewSharded(2)
-	defer se.Close()
 	const L = Time(1000)
-	se.Connect(0, 1, L)
-	se.Connect(1, 0, L)
+	se := NewSharded(2, L)
+	defer se.Close()
 	var ping, pong func()
 	ping = func() { se.Inject(0, 1, L, pong) }
 	pong = func() { se.Inject(1, 0, L, ping) }

@@ -140,9 +140,7 @@ func TestTimerStopResetAndPending(t *testing.T) {
 func TestTimerOnlyShardNotDrained(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		setSharded(t, parallel)
-		se := NewSharded(2)
-		se.Connect(0, 1, 10)
-		se.Connect(1, 0, 10)
+		se := NewSharded(2, 10)
 		var log []string
 		tm := se.Shard(1).NewTimer(func() {
 			log = append(log, fmt.Sprintf("timer@%d", se.Shard(1).Now()))

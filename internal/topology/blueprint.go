@@ -76,14 +76,7 @@ func newDCBlueprint(cfg DCConfig, shards int) *DCBlueprint {
 // networks and handoffs wired with the blueprint's precomputed partition and
 // name tables. Every Build is independent — the blueprint is never written.
 func (bp *DCBlueprint) Build() *DCShardedCluster {
-	se := sim.NewSharded(bp.part.Shards)
-	for i := 0; i < bp.part.Shards; i++ {
-		for j := 0; j < bp.part.Shards; j++ {
-			if i != j {
-				se.Connect(i, j, bp.part.Lookahead)
-			}
-		}
-	}
+	se := sim.NewSharded(bp.part.Shards, bp.part.Lookahead)
 	sc := &DCShardedCluster{Cfg: bp.Cfg, Part: bp.part, Eng: se, podOf: bp.podOf}
 	for s, sub := range bp.subs {
 		sc.Groups = append(sc.Groups, buildDCNamed(se.Shard(s), sub, bp.names[s]))

@@ -414,17 +414,12 @@ func (dc *DCCluster) ClassSeries(class fabric.Class, node int, start, end sim.Ti
 	return sum
 }
 
-// ClassStats computes avg/p90/peak of the aggregate class series.
-func (dc *DCCluster) ClassStats(class fabric.Class, node int, start, end sim.Time) telemetry.Stats {
-	return dc.ClassSeries(class, node, start, end).Stats()
-}
-
 // DCShardedCluster is a datacenter fabric spread over the shards of one
-// sharded engine along its pod seams: one DCCluster per shard, fully
-// connected by lookahead edges at the minimal wire latency, a Handoff per
-// directed shard pair for cross-node traffic. Workloads whose cross-node
-// flows are fluid end to end (flat collectives, serving) form one fair-share
-// domain and build it with a single shard.
+// sharded engine along its pod seams: one DCCluster per shard, a lookahead
+// of the minimal wire latency between every pair, a Handoff per directed
+// shard pair for cross-node traffic. Workloads whose cross-node flows are
+// fluid end to end (flat collectives, serving) form one fair-share domain
+// and build it with a single shard.
 type DCShardedCluster struct {
 	Cfg  DCConfig
 	Part Partition

@@ -214,7 +214,7 @@ func TestMakeRailPartitionEdgeCases(t *testing.T) {
 	}
 	// A non-positive (or sub-resolution) lookahead would deadlock the
 	// sharded engine's conservative horizon; the constructor must reject it
-	// rather than let it reach ShardedEngine.Connect.
+	// rather than let it reach sim.NewSharded.
 	for _, bad := range []sim.Time{0, -sim.Microsecond, sim.Nanosecond / 2} {
 		func() {
 			defer func() {

@@ -112,7 +112,7 @@ func TestShardedClusterRingIdentical(t *testing.T) {
 			stats := fmt.Sprintf("end=%v", end)
 			for node := 0; node < nodes; node++ {
 				g, _ := sc.GroupOf(node)
-				st := g.ClassStats(fabric.RoCE, node, 0, end)
+				st := g.ClassSeries(fabric.RoCE, node, 0, end).Stats()
 				stats += fmt.Sprintf(" n%d=%+v", node, st)
 			}
 			results = append(results, result{

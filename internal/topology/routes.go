@@ -195,13 +195,5 @@ func (c *Cluster) TheoreticalClassBW(class fabric.Class) float64 {
 	}
 }
 
-// ResetTelemetry clears every link counter (e.g. after warm-up iterations).
-func (c *Cluster) ResetTelemetry() {
-	c.Net.Quiesce()
-	for _, l := range c.all {
-		l.Counter().Reset()
-	}
-}
-
 // Links returns every link in the cluster (for diagnostics).
 func (c *Cluster) Links() []*fabric.Link { return c.all }

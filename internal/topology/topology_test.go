@@ -246,17 +246,6 @@ func TestInvalidRoutesPanic(t *testing.T) {
 	}
 }
 
-func TestResetTelemetryClearsCounters(t *testing.T) {
-	c := New(DefaultConfig(1))
-	l := c.NVLinkPair(GPU{0, 0}, GPU{0, 1})
-	c.Net.StartFlow(&fabric.Flow{Path: []*fabric.Link{l}, Bytes: 1e9}, nil)
-	c.Eng.Run()
-	c.ResetTelemetry()
-	if l.Counter().Total() != 0 {
-		t.Error("ResetTelemetry left bytes behind")
-	}
-}
-
 func TestPurposeBuiltConfigShape(t *testing.T) {
 	cfg := PurposeBuiltConfig(2)
 	if cfg.XbarBW <= DefaultXbarBW {

@@ -106,8 +106,8 @@ func (k Kind) Class() Class {
 
 // Phase tags a span with the training phase of the schedule op that emitted
 // it, so exported traces can be filtered by phase. An iteration's ops carry
-// the phase they run in; the start-up and checkpoint programs, which run
-// outside any iteration, carry PhaseNone. Phase never affects rendering,
+// the phase they run in; the start-up program, which runs outside any
+// iteration, carries PhaseNone. Phase never affects rendering,
 // summaries or breakdowns — adding it is golden-safe.
 type Phase uint8
 

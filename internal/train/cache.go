@@ -57,9 +57,9 @@ func (c Config) ScenarioKey() (string, bool) {
 		}
 		algo = a.String()
 	}
-	return fmt.Sprintf("s%d o%d n%d m%+v tp%d pp%d b%d P{%s} i%d w%d ck%d tr%t win%d pb%t roce%g xbar%g rw%d sh%d topo{%s} algo{%s}",
+	return fmt.Sprintf("s%d o%d n%d m%+v tp%d pp%d b%d P{%s} i%d w%d tr%t win%d pb%t roce%g xbar%g rw%d sh%d topo{%s} algo{%s}",
 		c.Strategy, c.Offload, c.Nodes, c.Model, c.TensorParallel, c.PipelineParallel,
-		c.BatchPerGPU, placement, c.Iterations, c.Warmup, c.CheckpointEvery,
+		c.BatchPerGPU, placement, c.Iterations, c.Warmup,
 		c.Trace, int64(c.Window), c.PurposeBuilt, c.RoCEBW, c.XbarBW, c.Rewrite, c.Shards, topo, algo), true
 }
 

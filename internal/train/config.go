@@ -91,10 +91,6 @@ type Config struct {
 	// paper's "collect from the fifth iteration").
 	Iterations int
 	Warmup     int
-	// CheckpointEvery, when positive, writes a full training checkpoint
-	// (FP32 master weights + optimizer state + FP16 weights, sharded per
-	// rank) to the node's scratch NVMe volume every N iterations.
-	CheckpointEvery int
 	// Trace enables per-GPU timeline capture of the last iteration.
 	Trace bool
 	// Window overrides the telemetry sampling window.
@@ -283,9 +279,6 @@ func (c Config) validateDC() error {
 	}
 	if c.TensorParallel != 0 || c.PipelineParallel != 0 {
 		return fmt.Errorf("train: TP/PP degrees are not modelled on generated fabrics")
-	}
-	if c.CheckpointEvery > 0 {
-		return fmt.Errorf("train: checkpointing is not modelled on generated fabrics")
 	}
 	if c.Trace {
 		return fmt.Errorf("train: trace capture is not supported on generated fabrics")

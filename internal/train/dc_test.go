@@ -145,7 +145,6 @@ func TestDCValidate(t *testing.T) {
 		{"node conflict", func(c *Config) { c.Nodes = 4 }},
 		{"megatron", func(c *Config) { c.Strategy = Megatron }},
 		{"offload", func(c *Config) { c.Strategy = ZeRO3; c.Offload = memory.CPUOffload }},
-		{"checkpoint", func(c *Config) { c.CheckpointEvery = 1 }},
 		{"trace", func(c *Config) { c.Trace = true }},
 		{"purpose-built", func(c *Config) { c.PurposeBuilt = true }},
 		{"roce override", func(c *Config) { c.RoCEBW = 1e9 }},

@@ -5,7 +5,6 @@ import (
 
 	"llmbw/internal/collective"
 	"llmbw/internal/compute"
-	"llmbw/internal/data"
 	"llmbw/internal/fabric"
 	"llmbw/internal/schedule"
 	"llmbw/internal/sim"
@@ -18,8 +17,7 @@ import (
 // communicator, the GPU memory tracker, per-rank trace fan-out, and the
 // concrete flow/NVMe constructors the pooled flow sets are built from — so
 // cached schedules stay pure data shared across runs. A testbed run replays
-// three programs through it: start-up, the iteration and the checkpoint
-// save.
+// two programs through it: start-up and the iteration.
 
 // replay starts one training step of the configured strategy by replaying
 // its compiled schedule, building the schedule and executor on first use.
@@ -42,16 +40,6 @@ func (r *Runner) startup(done func()) bool {
 		return true
 	}
 	return schedule.NewExecutor(trainEnv{r}, s).Run(done)
-}
-
-// checkpoint starts one checkpoint save, building its executor on first
-// use, and reports whether it completed inline; otherwise done fires when
-// it ends.
-func (r *Runner) checkpoint(done func()) bool {
-	if r.ckpt == nil {
-		r.ckpt = schedule.NewExecutor(ckptEnv{trainEnv{r}}, r.checkpointSchedule())
-	}
-	return r.ckpt.Run(done)
 }
 
 // trainEnv implements schedule.Env over a Runner.
@@ -103,29 +91,14 @@ func (e trainEnv) NVMeTargets() []schedule.NVMeTarget {
 	return out
 }
 
-// ckptEnv binds the checkpoint program: every rank writes its slice of
-// model states to the checkpoint volume.
-type ckptEnv struct{ trainEnv }
-
-// NVMeTargets resolves each rank's socket on the checkpoint volume in rank
-// order.
-func (e ckptEnv) NVMeTargets() []schedule.NVMeTarget {
-	r := e.r
-	out := make([]schedule.NVMeTarget, 0, r.cfg.WorldSize())
-	r.eachGPU(func(rank int, g topology.GPU) {
-		out = append(out, schedule.NVMeTarget{Vol: r.ckptVol, Socket: g.Socket()})
-	})
-	return out
-}
-
 // ---- flow builders (run only on a pool miss) ----
 
 // stageBatchFlowsFn builds the dataloader's host→GPU staging traffic for the
-// next micro-batch on every rank: tokenized input ids plus shifted labels
-// (internal/data's packing), prefetched asynchronously the way PyTorch
-// dataloaders overlap H2D copies with compute.
+// next micro-batch on every rank: int32 input ids plus shifted labels, two
+// tensors of batch × seqLen tokens, prefetched asynchronously the way
+// PyTorch dataloaders overlap H2D copies with compute.
 func (r *Runner) stageBatchFlowsFn() func() []*fabric.Flow {
-	bytes := data.BatchStagingBytes(r.cfg.BatchPerGPU, r.cfg.Model.SeqLen)
+	bytes := 2 * float64(r.cfg.BatchPerGPU) * float64(r.cfg.Model.SeqLen) * 4
 	return func() []*fabric.Flow {
 		var flows []*fabric.Flow
 		r.eachGPU(func(rank int, g topology.GPU) {

@@ -96,18 +96,15 @@ type Runner struct {
 	gpu     compute.GPUModel
 	cpu     compute.CPUModel
 	vols    []*nvme.Volume
-	ckptVol *nvme.Volume
 	mem     *memTracker
 	tr      *trace.Trace
 
-	psi        float64 // total parameters
 	gradBytes  float64 // 2Ψ FP16 gradients
 	paramBytes float64 // 2Ψ FP16 parameters
 
-	// exec and ckpt replay the iteration and checkpoint programs, each
-	// built lazily on first use and reused thereafter.
+	// exec replays the iteration program, built lazily on first use and
+	// reused thereafter.
 	exec *schedule.Executor
-	ckpt *schedule.Executor
 }
 
 // newRunner validates the configuration and builds the simulated cluster and
@@ -153,24 +150,9 @@ func newRunner(cfg Config) (*Runner, error) {
 	if cfg.needsNVMe() {
 		r.vols = cfg.Placement.Build(cluster)
 	}
-	if cfg.CheckpointEvery > 0 {
-		if len(r.vols) > 0 {
-			r.ckptVol = r.vols[0]
-		} else {
-			// The default scratch: both node-0 drives in RAID0, as the
-			// paper's mdadm setup.
-			scratch := &nvme.Volume{Name: "scratch"}
-			for _, spec := range topoCfg.Drives {
-				if spec.Node == 0 {
-					scratch.Drives = append(scratch.Drives, nvme.NewDrive(cluster, spec))
-				}
-			}
-			r.ckptVol = scratch
-		}
-	}
-	r.psi = float64(cfg.Model.Params())
-	r.gradBytes = 2 * r.psi
-	r.paramBytes = 2 * r.psi
+	psi := float64(cfg.Model.Params())
+	r.gradBytes = 2 * psi
+	r.paramBytes = 2 * psi
 	r.initMemTracker()
 	return r, nil
 }
@@ -240,10 +222,9 @@ const (
 	trainIterated                   // an iteration finished
 )
 
-// trainer drives a testbed run: a callback state machine over three
-// schedule programs — start-up, Warmup+Iterations replays of the iteration,
-// and a checkpoint save after every CheckpointEvery-th measured iteration.
-// A program that takes virtual time hands resume to its completion and
+// trainer drives a testbed run: a callback state machine over two schedule
+// programs — start-up, then Warmup+Iterations replays of the iteration. A
+// program that takes virtual time hands resume to its completion and
 // returns; one that completes inline continues in the loop.
 type trainer struct {
 	r      *Runner
@@ -293,11 +274,6 @@ func (t *trainer) run() {
 			t.stage = trainIterate
 			if i >= 0 && i == iters-1 {
 				res.LastIterEnd = eng.Now()
-			}
-			if i >= 0 && cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-				if !r.checkpoint(t.resume) {
-					return
-				}
 			}
 		}
 	}
@@ -354,11 +330,11 @@ func (h *housekeeper) run() {
 	cluster.Eng.Schedule(slice, h.resume)
 }
 
-// ---- start-up and checkpoint programs ----
+// ---- the start-up program ----
 
-// Start-up and checkpoint saves run outside the iteration, as schedule
-// programs of their own replayed through the same executor (executor.go).
-// Their ops carry PhaseNone, a fresh Builder's phase.
+// Start-up runs before the first iteration, as a schedule program of its
+// own replayed through the same executor (executor.go). Its ops carry
+// PhaseNone, a fresh Builder's phase.
 
 // eachGPU enumerates the cluster's GPUs with their global rank.
 func (r *Runner) eachGPU(fn func(rank int, g topology.GPU)) {
@@ -391,18 +367,6 @@ func (r *Runner) startupSchedule() *schedule.Schedule {
 	} else {
 		b.Sync(collective.Broadcast, r.paramBytes, 0, 2)
 	}
-	return b.S
-}
-
-// checkpointSchedule models a DeepSpeed checkpoint save: each rank stages
-// its 2Ψ/N-byte shard of the FP16 weights to host memory, then writes its
-// 16Ψ/N-byte slice of model states (FP32 master weights, momentum,
-// variance, FP16 weights) to the checkpoint volume.
-func (r *Runner) checkpointSchedule() *schedule.Schedule {
-	world := float64(r.cfg.WorldSize())
-	b := schedule.NewBuilder()
-	b.Xfer(trace.OffloadCopy, r.paramBytes/world)
-	b.NVMe(trace.NVMeIO, 16*r.psi/world, true)
 	return b.S
 }
 

@@ -33,7 +33,6 @@ func irCases() []struct {
 	}{
 		{"ddp", Config{Strategy: DDP, Model: g, Iterations: 2, Warmup: 1}},
 		{"ddp-dual", Config{Strategy: DDP, Model: g, Nodes: 2, Iterations: 2, Warmup: 1}},
-		{"ddp-ckpt", Config{Strategy: DDP, Model: g, Iterations: 2, Warmup: 1, CheckpointEvery: 1}},
 		{"megatron", Config{Strategy: Megatron, Model: g, Iterations: 1, Warmup: 0}},
 		{"megatron-dual", Config{Strategy: Megatron, Model: g, Nodes: 2, Iterations: 1, Warmup: 0}},
 		{"hybrid-tp4pp2", Config{Strategy: Megatron, Model: g, Nodes: 2,
@@ -80,8 +79,8 @@ var shapesGolden = filepath.Join("testdata", "schedule_shapes.golden")
 
 // renderShape runs cfg and renders its schedule_shapes.golden section: the
 // serialized summary, the runtime GPU memory peak and, when cfg.Trace is
-// set, rank 0's traced spans (kind, phase, start, end) of the last iteration
-// and any checkpoint after it. Ranks run one SPMD program in lockstep and
+// set, rank 0's traced spans (kind, phase, start, end) of the last
+// iteration. Ranks run one SPMD program in lockstep and
 // every span fans out to all of them, so it also requires every other rank's
 // timeline to equal rank 0's.
 func renderShape(t *testing.T, name string, cfg Config) []byte {
@@ -233,9 +232,6 @@ func TestSchedulePhaseTags(t *testing.T) {
 // division remainder.
 func TestBreakdownComponentsSumToIterTime(t *testing.T) {
 	for _, c := range irCases() {
-		if c.cfg.CheckpointEvery > 0 {
-			continue // checkpoint time sits between iterations, outside the window
-		}
 		cfg := c.cfg
 		cfg.Trace = true
 		res, err := Run(cfg)

@@ -429,3 +429,22 @@ func TestBucketsAndGroupsPartition(t *testing.T) {
 		t.Error("bucket count exceeds cap")
 	}
 }
+
+// TestBatchStagingBytes pins the dataloader's host→GPU staging: on one DDP
+// node every rank stages its micro-batch's int32 input ids and shifted
+// labels, 2 × 16 sequences × 256 tokens × 4 bytes.
+func TestBatchStagingBytes(t *testing.T) {
+	r, err := newRunner(Config{Strategy: DDP, Model: model.NewGPT(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := r.stageBatchFlowsFn()()
+	if len(flows) != 4 {
+		t.Fatalf("staged %d flows, want one per GPU (4)", len(flows))
+	}
+	for _, f := range flows {
+		if f.Bytes != 2*16*256*4 {
+			t.Errorf("%s stages %v bytes, want 32768", f.Name, f.Bytes)
+		}
+	}
+}

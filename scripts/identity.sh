@@ -1,16 +1,19 @@
 #!/bin/sh
 # identity.sh checks that a change keeps the simulator's output
-# byte-identical: it builds bwchar and sweep at REF (exported with
-# git archive into a temporary directory that an exit trap removes) and from
-# the working tree, runs both builds on the same commands and compares their
-# stdout and exit status byte for byte:
+# byte-identical: it builds bwchar, sweep, topoview and the examples at REF
+# (exported with git archive into a temporary directory that an exit trap
+# removes) and from the working tree, runs both builds on the same commands
+# and compares their stdout and exit status byte for byte:
 #
 #   - bwchar all and all-ext;
 #   - the dc-train sweep (ZeRO-3, fat-tree:nodes=1024, 2level) at 1 and 2
 #     shards;
 #   - the 27-cell grid {fat-tree:nodes=256, rail-only:nodes=64,pod=4,
 #     dragonfly:nodes=64} × {flat, 2level, multiring} × {ddp, zero2, zero3}
-#     at 4 shards, each cell as a table and as JSON.
+#     at 4 shards, each cell as a table and as JSON;
+#   - topoview on the testbed, fat-tree:nodes=64 and dragonfly:nodes=64;
+#   - the examples quickstart, capacity_planner, dualnode_zero,
+#     nvme_placement and stress_test.
 #
 # It prints one "same" or "DIFFERS" line per check and exits 1 if any check
 # differs. It starts no daemon. Usage, from anywhere in the repository:
@@ -35,10 +38,17 @@ trap 'rm -rf "$TMP"' EXIT
 # and HUP into an ordinary exit makes it run.
 trap 'exit 1' INT TERM HUP
 
+EXAMPLES="quickstart capacity_planner dualnode_zero nvme_placement stress_test"
+PKGS="./cmd/bwchar ./cmd/sweep ./cmd/topoview"
+for ex in $EXAMPLES; do
+	PKGS="$PKGS ./examples/$ex"
+done
+
 mkdir "$TMP/src" "$TMP/ref" "$TMP/new"
 git archive "$REF" | tar -x -C "$TMP/src"
-(cd "$TMP/src" && go build -o "$TMP/ref/" ./cmd/bwchar ./cmd/sweep)
-go build -o "$TMP/new/" ./cmd/bwchar ./cmd/sweep
+# $PKGS is unquoted on purpose: it splits into one argument per package.
+(cd "$TMP/src" && go build -o "$TMP/ref/" $PKGS)
+go build -o "$TMP/new/" $PKGS
 
 fail=0
 # check NAME BIN ARGS... runs both builds of BIN on ARGS and compares their
@@ -76,5 +86,12 @@ for topo in fat-tree:nodes=256 rail-only:nodes=64,pod=4 dragonfly:nodes=64; do
 				-shards 4 -sizes 1,max -iterations 2
 		done
 	done
+done
+check "topoview" topoview
+for topo in fat-tree:nodes=64 dragonfly:nodes=64; do
+	check "topoview -topo $topo" topoview -topo "$topo"
+done
+for ex in $EXAMPLES; do
+	check "example $ex" "$ex"
 done
 exit "$fail"
